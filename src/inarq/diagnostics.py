@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -292,8 +291,8 @@ def equivalence_mc_test(
     """Test whether two models generate the same observed process.
 
     Canonical forms are compared exactly; the observed processes are then
-    simulated (``reps`` replicates each, on disjoint substreams of
-    ``master_seed``, concurrently) and compared on mean, variance and
+    simulated (``reps`` replicates each, one after another on disjoint
+    substreams of ``master_seed``) and compared on mean, variance and
     autocorrelations via batch-means z-scores, on the marginal pmf via total
     variation, and, when requested, on the empirical bivariate law of
     consecutive counts against the enumeration oracle of the shared
@@ -307,15 +306,13 @@ def equivalence_mc_test(
     if reps < 1:
         raise ParameterError(f"reps must be at least 1, got {reps}")
 
-    jobs = {}
-    with ThreadPoolExecutor(max_workers=min(2 * reps, 8)) as pool:
-        for idx, model in ((0, m1), (1, m2)):
-            for r in range(reps):
-                stream = master_seed.substream((idx << 32) + r)
-                jobs[(idx, r)] = pool.submit(_observed_series, model, t_len, stream)
-        series = {key: job.result() for key, job in jobs.items()}
-    sample1 = [series[(0, r)].values for r in range(reps)]
-    sample2 = [series[(1, r)].values for r in range(reps)]
+    sample1, sample2 = [
+        [
+            _observed_series(model, t_len, master_seed.substream((idx << 32) + r)).values
+            for r in range(reps)
+        ]
+        for idx, model in enumerate((m1, m2))
+    ]
 
     est1, se1 = _pooled_estimates(sample1, max_lag)
     est2, se2 = _pooled_estimates(sample2, max_lag)

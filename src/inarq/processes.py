@@ -16,13 +16,25 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError, UnsupportedMechanismError
-from .sampling import (
+from .sampling import (  # noqa: F401  (perfbench/tracer.py wraps the scalar draws here)
     RngStream,
     binomial_thin,
     geometric_draws,
     multinomial_allocate,
     poisson_draw,
 )
+
+
+# Largest rate numpy's Poisson sampler accepts (its POISSON_LAM_MAX).
+_POISSON_LAM_MAX = float(np.iinfo(np.int64).max - 10 * math.sqrt(np.iinfo(np.int64).max))
+
+
+def _require_rate(lam: float) -> None:
+    if not (math.isfinite(lam) and 0 < lam <= _POISSON_LAM_MAX):
+        raise ParameterError(
+            f"immigration rate must be positive, finite and at most {_POISSON_LAM_MAX:.6g} "
+            f"(the largest Poisson rate that can be sampled), got {lam}"
+        )
 
 
 @dataclass(frozen=True)
@@ -33,8 +45,7 @@ class Inar1Spec:
     alpha: float
 
     def __post_init__(self):
-        if not self.lambda_ > 0:
-            raise ParameterError(f"immigration rate must be positive, got {self.lambda_}")
+        _require_rate(self.lambda_)
         if not 0.0 <= self.alpha < 1.0:
             raise ParameterError(f"survival probability must lie in [0, 1), got {self.alpha}")
 
@@ -52,10 +63,9 @@ class InarPSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
-        if not self.lambda_ > 0:
-            raise ParameterError(f"immigration rate must be positive, got {self.lambda_}")
-        if any(a < 0 for a in self.alphas):
-            raise ParameterError("lag weights must be nonnegative")
+        _require_rate(self.lambda_)
+        if not all(a >= 0 and math.isfinite(a) for a in self.alphas):
+            raise ParameterError("lag weights must be finite and nonnegative")
         if math.fsum(self.alphas) >= 1.0:
             raise ParameterError(
                 f"lag weights must sum below 1, got {math.fsum(self.alphas)}"
@@ -84,8 +94,7 @@ class GeomInarSpec:
     gamma: float
 
     def __post_init__(self):
-        if not self.lambda_ > 0:
-            raise ParameterError(f"immigration rate must be positive, got {self.lambda_}")
+        _require_rate(self.lambda_)
         if self.gamma < 0:
             raise ParameterError(f"decay factor must be nonnegative, got {self.gamma}")
         if not 0.0 <= self.beta < 1.0 - self.gamma:
@@ -145,13 +154,22 @@ class CountSeries:
 
     def to_csv(self) -> str:
         lines = ["t,count"]
-        lines.extend(f"{t},{c}" for t, c in enumerate(self.values))
+        lines.extend(f"{t},{c}" for t, c in enumerate(self.values.tolist()))
         return "\n".join(lines) + "\n"
 
 
+# Rows formatted per write in write_series_csv; bounds the string built at once.
+_CSV_CHUNK_ROWS = 1 << 16
+
+
 def write_series_csv(series: CountSeries, path) -> None:
+    """Write ``series.to_csv()`` to ``path``, formatting a chunk of rows at a time."""
+    values = series.values.tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(series.to_csv())
+        fh.write("t,count\n")
+        for start in range(0, len(values), _CSV_CHUNK_ROWS):
+            chunk = values[start : start + _CSV_CHUNK_ROWS]
+            fh.write("".join(f"{t},{c}\n" for t, c in enumerate(chunk, start)))
 
 
 def _default_burn_in(total_weight: float) -> int:
@@ -159,140 +177,123 @@ def _default_burn_in(total_weight: float) -> int:
     return max(500, math.ceil(50.0 / (1.0 - total_weight)))
 
 
-def simulate_inar1(
-    spec: Inar1Spec, t_len: int, rng: RngStream, burn_in: int = 0
-) -> CountSeries:
-    """Simulate the first-order process.
+# Expected appearances per block of steps: bounds the kernel's working arrays.
+_BLOCK_APPEARANCES = 1 << 15
 
-    The initial state is drawn from the stationary Poisson(lambda/(1-alpha))
-    marginal, so no burn-in is needed; ``burn_in`` extra steps are still
-    simulated and discarded if requested.
 
-    Args:
-        spec: process parameters.
-        t_len: number of retained steps, at least 1.
-        rng: stream consumed by the simulation.
-        burn_in: steps discarded before the retained window.
+def _run_chains(
+    lam: float, rho: float, gap_draw, steps: int, rng: RngStream, initial: int = 0
+) -> tuple[np.ndarray, dict[str, int]]:
+    """Counts of an immigrant-chain process over ``steps`` steps.
 
-    Returns:
-        CountSeries of length ``t_len``.
+    Each step Poisson(lam) immigrants arrive (plus ``initial`` at step 0).
+    Each makes a chain of Geom(1 - rho) appearances: the first at its arrival
+    step, the next ones after gaps drawn by ``gap_draw(k)`` (k gaps, each
+    >= 1). The count at a step is the number of appearances there. Immigrants
+    are drawn in blocks of about ``_BLOCK_APPEARANCES`` expected appearances,
+    each block's chains laid out whole; appearances past the horizon are
+    dropped. Returns the counts and the numbers of chains, appearances drawn
+    and appearances dropped.
     """
+    out = np.zeros(steps, dtype=np.int64)
+    block = int(min(steps, max(1.0, _BLOCK_APPEARANCES * (1.0 - rho) / lam)))
+    chains = appearances = 0
+    for t0 in range(0, steps, block):
+        width = min(block, steps - t0)
+        starts = rng.generator.poisson(lam, width)
+        starts[0] += initial if t0 == 0 else 0
+        n = int(starts.sum())
+        lengths = geometric_draws(1.0 - rho, n, rng)
+        total = int(lengths.sum())
+        chains += n
+        appearances += total
+        times = np.repeat(np.arange(t0, t0 + width), starts)
+        if total > n:
+            # Segmented cumsum: each chain's first slot holds a zero gap, so
+            # the running sum less its value there is the chain's elapsed time.
+            firsts = np.cumsum(lengths) - lengths
+            later = np.ones(total, dtype=bool)
+            later[firsts] = False
+            elapsed = np.zeros(total, dtype=np.int64)
+            elapsed[later] = gap_draw(total - n)
+            np.cumsum(elapsed, out=elapsed)
+            times = np.repeat(times - elapsed[firsts], lengths) + elapsed
+        counts = np.bincount(times[times < steps] - t0)
+        out[t0 : t0 + counts.size] += counts
+    beyond = appearances - int(out.sum())
+    return out, {"chains": chains, "appearances": appearances, "beyond": beyond}
+
+
+def _chain_series(lam, rho, gap_draw, t_len, burn_in, rng, model_tag, initial_mean=0.0):
+    """Run the chain kernel for ``burn_in + t_len`` steps; keep the last ``t_len``."""
     if t_len < 1:
         raise ParameterError(f"series length must be at least 1, got {t_len}")
     if burn_in < 0:
         raise ParameterError(f"burn-in must be nonnegative, got {burn_in}")
-    steps = burn_in + t_len
-    out = np.empty(steps, dtype=np.int64)
-    x = poisson_draw(spec.stationary_mean, rng)
-    for t in range(steps):
-        x = binomial_thin(x, spec.alpha, rng) + poisson_draw(spec.lambda_, rng)
-        out[t] = x
-    return CountSeries(
-        values=out[burn_in:],
-        seed=rng.identity,
-        burn_in=burn_in,
-        model_tag=f"inar1(lambda={spec.lambda_},alpha={spec.alpha})",
+    initial = poisson_draw(initial_mean, rng)
+    out, _ = _run_chains(lam, rho, gap_draw, burn_in + t_len, rng, initial)
+    return CountSeries(out[burn_in:], rng.identity, burn_in, model_tag)
+
+
+def simulate_inar1(
+    spec: Inar1Spec, t_len: int, rng: RngStream, burn_in: int = 0
+) -> CountSeries:
+    """Simulate the first-order process as immigrant chains.
+
+    Poisson(lambda) immigrants per step, each present for Geom(1 - alpha)
+    consecutive steps (every gap is 1). The start is exactly stationary:
+    Poisson(lambda * alpha / (1 - alpha)) chains are already under way at
+    step 0, with Geom(1 - alpha) remaining lengths by memorylessness, so the
+    step-0 count is Poisson(lambda / (1 - alpha)). No burn-in is needed;
+    ``burn_in`` extra steps are still simulated and discarded if requested.
+    Returns the last ``t_len`` (at least 1) steps.
+    """
+    return _chain_series(
+        spec.lambda_, spec.alpha, lambda k: np.ones(k, dtype=np.int64), t_len, burn_in,
+        rng, f"inar1(lambda={spec.lambda_},alpha={spec.alpha})",
+        initial_mean=spec.stationary_mean * spec.alpha,
     )
 
 
 def simulate_inar_p(
     spec: InarPSpec, t_len: int, rng: RngStream, burn_in: int | None = None
 ) -> CountSeries:
-    """Simulate the order-p process via the joint renewal-allocation scheme.
+    """Simulate the order-p process as immigrant chains.
 
-    Each step allocates the current count once: the number to be renewed is
-    Binomial(X_t, sum of weights), and their waiting times follow the
-    normalized weight distribution over lags 1..p, so the lag-i contribution
-    is marginally Binomial(X_t, alpha_i) and the contributions never exceed
-    X_t in total. History before the start is empty; ``burn_in`` steps
-    (default scales with mixing time) are discarded.
+    Poisson(lambda) immigrants per step, each appearing Geom(1 - sum of
+    weights) times, with gaps drawn from lags 1..p in proportion to the
+    weights. An appearance at t thus has a successor at t + i with
+    probability alpha_i, so the lag-i contribution is marginally
+    Binomial(X_t, alpha_i) and the contributions never exceed X_t in total.
+    History before the start is empty; ``burn_in`` steps (default scales
+    with mixing time) are discarded.
     """
-    if t_len < 1:
-        raise ParameterError(f"series length must be at least 1, got {t_len}")
-    if burn_in is None:
-        burn_in = _default_burn_in(spec.total_weight)
-    if burn_in < 0:
-        raise ParameterError(f"burn-in must be nonnegative, got {burn_in}")
-    p = len(spec.alphas)
     total = spec.total_weight
-    lag_probs = [a / total for a in spec.alphas] if total > 0 else []
-    steps = burn_in + t_len
-    pending = np.zeros(steps + p + 1, dtype=np.int64)
-    out = np.empty(steps, dtype=np.int64)
-    for t in range(steps):
-        x = int(pending[t]) + poisson_draw(spec.lambda_, rng)
-        out[t] = x
-        if total > 0 and x > 0:
-            renewals = binomial_thin(x, total, rng)
-            if renewals > 0:
-                counts = multinomial_allocate(renewals, lag_probs, rng)
-                for lag, c in enumerate(counts, start=1):
-                    pending[t + lag] += c
-    return CountSeries(
-        values=out[burn_in:],
-        seed=rng.identity,
-        burn_in=burn_in,
-        model_tag=f"inar_p(lambda={spec.lambda_},alphas={list(spec.alphas)})",
+    lag_probs = np.array(spec.alphas) / total if total > 0 else None
+    return _chain_series(
+        spec.lambda_, total, lambda k: rng.generator.choice(len(spec.alphas), k, p=lag_probs) + 1,
+        t_len, _default_burn_in(total) if burn_in is None else burn_in, rng,
+        f"inar_p(lambda={spec.lambda_},alphas={list(spec.alphas)})",
     )
-
-
-def _run_geom_inar(
-    spec: GeomInarSpec, steps: int, rng: RngStream
-) -> tuple[np.ndarray, dict[str, int]]:
-    """Core event-scheduled loop; returns the path and renewal-queue accounting."""
-    total = spec.total_weight
-    renew_prob = 1.0 - spec.gamma
-    due: dict[int, int] = defaultdict(int)
-    out = np.empty(steps, dtype=np.int64)
-    scheduled = 0
-    fired = 0
-    for t in range(steps):
-        arrivals = due.pop(t, 0)
-        fired += arrivals
-        x = arrivals + poisson_draw(spec.lambda_, rng)
-        out[t] = x
-        if total > 0 and x > 0:
-            renewals = binomial_thin(x, total, rng)
-            if renewals > 0:
-                scheduled += renewals
-                waits = geometric_draws(renew_prob, renewals, rng)
-                for w in waits:
-                    due[t + int(w)] += 1
-    stats = {
-        "scheduled": scheduled,
-        "fired": fired,
-        "pending_end": int(sum(due.values())),
-    }
-    return out, stats
 
 
 def simulate_inar_inf(
     spec: GeomInarSpec, t_len: int, rng: RngStream, burn_in: int | None = None
 ) -> CountSeries:
-    """Simulate the geometric-lag infinite-order process.
+    """Simulate the geometric-lag infinite-order process as immigrant chains.
 
-    Event-scheduled: each step draws the number of individuals to be renewed,
-    Binomial(X_t, beta/(1-gamma)), draws one geometric waiting time per
-    renewal (support {1, 2, ...}, success probability 1-gamma) and enqueues
-    it; the count at a step is the renewals due plus fresh Poisson
-    immigration. Waiting times are never truncated. History before the start
-    is empty; ``burn_in`` steps (default max(500, ceil(50/(1-beta-gamma))))
-    are discarded.
+    Poisson(lambda) immigrants per step, each appearing
+    Geom(1 - beta/(1-gamma)) times, with Geom(1 - gamma) gaps on {1, 2, ...}.
+    An appearance at t thus has a successor at t + i with probability
+    beta * gamma**(i-1), the lag-i weight. Gaps are never truncated. History
+    before the start is empty; ``burn_in`` steps (default
+    max(500, ceil(50/(1-beta-gamma)))) are discarded.
     """
-    if t_len < 1:
-        raise ParameterError(f"series length must be at least 1, got {t_len}")
-    if burn_in is None:
-        burn_in = _default_burn_in(spec.beta + spec.gamma)
-    if burn_in < 0:
-        raise ParameterError(f"burn-in must be nonnegative, got {burn_in}")
-    out, _ = _run_geom_inar(spec, burn_in + t_len, rng)
-    return CountSeries(
-        values=out[burn_in:],
-        seed=rng.identity,
-        burn_in=burn_in,
-        model_tag=(
-            f"geom_inf(lambda={spec.lambda_},beta={spec.beta},gamma={spec.gamma})"
-        ),
+    return _chain_series(
+        spec.lambda_, spec.total_weight,
+        lambda k: geometric_draws(1.0 - spec.gamma, k, rng), t_len,
+        _default_burn_in(spec.beta + spec.gamma) if burn_in is None else burn_in, rng,
+        f"geom_inf(lambda={spec.lambda_},beta={spec.beta},gamma={spec.gamma})",
     )
 
 
@@ -377,11 +378,9 @@ class PopulationTrace:
         return int(self.x.size)
 
     def to_csv(self) -> str:
+        rows = zip(*(c.tolist() for c in (self.x, self.x_tilde, self.u_total, self.v_total)))
         lines = ["t,x,x_tilde,u_total,v_total"]
-        lines.extend(
-            f"{t},{self.x[t]},{self.x_tilde[t]},{self.u_total[t]},{self.v_total[t]}"
-            for t in range(len(self))
-        )
+        lines.extend(f"{t},{x},{xt},{u},{v}" for t, (x, xt, u, v) in enumerate(rows))
         return "\n".join(lines) + "\n"
 
     def to_long_csv(self) -> str:

@@ -1,4 +1,14 @@
+import os
+from pathlib import Path
+
 import pytest
+
+# The CLI tests run `python -m inarq` in child processes; point them at this
+# checkout's src directory, as pyproject's pythonpath does for the test process.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
+)
 
 
 @pytest.fixture

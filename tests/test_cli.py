@@ -84,6 +84,15 @@ class TestSimulate:
         assert res.returncode == 2
         assert "survival probability" in res.stderr
 
+    def test_unsampleable_rate_is_input_error(self, tmp_path):
+        bad = {"latent": {"kind": "inar1", "lambda": 1e300, "alpha": 0.5}}
+        res = run_cli("simulate", write_spec(tmp_path, bad), "--t", "10",
+                      "--out", str(tmp_path / "x.csv"))
+        assert res.returncode == 2
+        assert res.stderr.startswith("error:")
+        assert "immigration rate" in res.stderr
+        assert "Traceback" not in res.stderr
+
     def test_mixed_fields_rejected(self, tmp_path):
         bad = {"latent": {"kind": "inar1", "lambda": 1.0, "alpha": 0.3, "gamma": 0.1}}
         res = run_cli("simulate", write_spec(tmp_path, bad), "--t", "10",
@@ -128,6 +137,18 @@ class TestTransform:
         assert doc["lambda"] == 1.62
         assert doc["alpha"] == 0.52
         assert doc["q"] == 0.33
+
+    def test_infinite_rate_is_input_error(self, tmp_path):
+        path = tmp_path / "inf.json"
+        path.write_text(
+            '{"latent": {"kind": "inar1", "lambda": Infinity, "alpha": 0.5}}', encoding="utf-8"
+        )
+        res = run_cli("transform", str(path), "--to", "inf")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith("error:")
+        assert "finite" in res.stderr
+        assert "Traceback" not in res.stderr
 
     def test_heterogeneous_reporting_rejected(self, tmp_path):
         spec = write_spec(tmp_path, dict(EXAMPLE_SPEC, reporting={"q": 0.33, "omega": 0.9}))

@@ -18,7 +18,8 @@ from inarq import (
     simulate_inar_p,
     simulate_individual_level,
 )
-from inarq.processes import _run_geom_inar
+from inarq.processes import _BLOCK_APPEARANCES, _CSV_CHUNK_ROWS, _run_chains, write_series_csv
+from inarq.sampling import geometric_draws
 
 # Worked example used throughout: a weekly case-count model with immigration
 # rate 1.62, survival 0.52 and reporting probability 0.33.
@@ -34,15 +35,15 @@ def batch_se(values, n_batches=50):
     return means.std(ddof=1) / math.sqrt(n_batches)
 
 
-def acf1(values):
+def acf(values, k=1):
     centered = np.asarray(values, dtype=float) - np.mean(values)
-    return float(centered[:-1] @ centered[1:] / (centered @ centered))
+    return float(centered[:-k] @ centered[k:] / (centered @ centered))
 
 
-def batch_acf1_se(values, n_batches=50):
+def batch_acf_se(values, k=1, n_batches=50):
     usable = len(values) - len(values) % n_batches
     batches = np.asarray(values[:usable], dtype=float).reshape(n_batches, -1)
-    per_batch = [acf1(b) for b in batches]
+    per_batch = [acf(b, k) for b in batches]
     return np.std(per_batch, ddof=1) / math.sqrt(n_batches)
 
 
@@ -56,6 +57,16 @@ def oracle_inar1(lam, alpha, t_len, seed):
         x = g.binomial(x, alpha) + g.poisson(lam)
         out[t] = x
     return out
+
+
+def renewal_acf(weights, max_lag):
+    # Every latent process here is Poisson immigrants whose chains renew at
+    # lag i with probability weights[i-1], so the lag-k autocorrelation is the
+    # renewal sequence u_k = sum_i weights[i-1] * u_{k-i}, u_0 = 1.
+    u = [1.0]
+    for k in range(1, max_lag + 1):
+        u.append(sum(w * u[k - i] for i, w in enumerate(weights[:k], start=1)))
+    return u[1:]
 
 
 def empirical_pmf(values):
@@ -86,6 +97,13 @@ class TestCountSeries:
         s = CountSeries(np.array([3, 0, 1]), (0, 0), 0, "x")
         assert s.to_csv() == "t,count\n0,3\n1,0\n2,1\n"
 
+    def test_chunked_writer_matches_to_csv(self, tmp_path):
+        values = np.random.default_rng(3).poisson(7.0, _CSV_CHUNK_ROWS + 17)
+        s = CountSeries(values, (0, 0), 0, "x")
+        path = tmp_path / "series.csv"
+        write_series_csv(s, path)
+        assert path.read_bytes() == s.to_csv().encode("utf-8")
+
 
 class TestInar1:
     def test_rejects_zero_length(self):
@@ -97,13 +115,16 @@ class TestInar1:
             Inar1Spec(0.0, 0.5)
         with pytest.raises(ParameterError):
             Inar1Spec(1.0, 1.0)
+        for lam in (math.inf, math.nan, 1e300):
+            with pytest.raises(ParameterError, match="immigration rate"):
+                Inar1Spec(lam, 0.5)
 
     def test_no_autoregression_gives_iid_poisson(self, reseed_once):
         def check(seed):
             s = simulate_inar1(Inar1Spec(LAM, 0.0), 50_000, RngStream(seed))
             se = math.sqrt(LAM / len(s))
             assert abs(s.values.mean() - LAM) <= 3 * se
-            assert abs(acf1(s.values)) <= 3 / math.sqrt(len(s))
+            assert abs(acf(s.values)) <= 3 / math.sqrt(len(s))
 
         reseed_once(check, 11, 12)
 
@@ -111,11 +132,11 @@ class TestInar1:
         def check(seed):
             s = simulate_inar1(Inar1Spec(LAM, ALPHA), 200_000, RngStream(seed))
             assert abs(s.values.mean() - STATIONARY_MEAN) <= 3 * batch_se(s.values)
-            assert abs(acf1(s.values) - ALPHA) <= 3 * batch_acf1_se(s.values)
+            assert abs(acf(s.values) - ALPHA) <= 3 * batch_acf_se(s.values)
             # the independent reference recursion agrees with the same targets
             ref = oracle_inar1(LAM, ALPHA, 200_000, seed)
             assert abs(ref.mean() - STATIONARY_MEAN) <= 3 * batch_se(ref)
-            assert abs(acf1(ref) - ALPHA) <= 3 * batch_acf1_se(ref)
+            assert abs(acf(ref) - ALPHA) <= 3 * batch_acf_se(ref)
 
         reseed_once(check, 21, 22)
 
@@ -132,6 +153,8 @@ class TestInarP:
             InarPSpec(1.0, (0.6, 0.5))
         with pytest.raises(ParameterError):
             InarPSpec(1.0, (-0.1,))
+        with pytest.raises(ParameterError, match="finite"):
+            InarPSpec(1.0, (math.nan,))
 
     def test_no_lags_gives_iid_poisson(self, reseed_once):
         def check(seed):
@@ -147,8 +170,8 @@ class TestInarP:
             i1 = simulate_inar1(Inar1Spec(LAM, ALPHA), 100_000, RngStream(seed + 1))
             se = math.hypot(batch_se(p1.values), batch_se(i1.values))
             assert abs(p1.values.mean() - i1.values.mean()) <= 3 * se
-            se_acf = math.hypot(batch_acf1_se(p1.values), batch_acf1_se(i1.values))
-            assert abs(acf1(p1.values) - acf1(i1.values)) <= 3 * se_acf
+            se_acf = math.hypot(batch_acf_se(p1.values), batch_acf_se(i1.values))
+            assert abs(acf(p1.values) - acf(i1.values)) <= 3 * se_acf
 
         reseed_once(check, 41, 42)
 
@@ -167,6 +190,9 @@ class TestInarInf:
             GeomInarSpec(1.0, 0.6, 0.4)  # beta must stay below 1 - gamma
         with pytest.raises(ParameterError):
             GeomInarSpec(1.0, 0.1, -0.1)
+        for args in ((math.inf, 0.1, 0.1), (1.0, math.nan, 0.1), (1.0, 0.1, math.inf)):
+            with pytest.raises(ParameterError):
+                GeomInarSpec(*args)
         # boundary degenerations are admitted
         GeomInarSpec(1.0, 0.0, 0.0)
         GeomInarSpec(1.0, 0.5, 0.0)
@@ -197,15 +223,62 @@ class TestInarInf:
 
         reseed_once(check, 81, 82)
 
-    def test_renewal_queue_conserves_individuals(self):
-        _, stats = _run_geom_inar(IMAGE, 20_000, RngStream(91))
-        assert stats["scheduled"] == stats["fired"] + stats["pending_end"]
-        assert stats["scheduled"] > 0
-
     def test_deterministic_given_seed(self):
         a = simulate_inar_inf(IMAGE, 2_000, RngStream(5, 7))
         b = simulate_inar_inf(IMAGE, 2_000, RngStream(5, 7))
         assert np.array_equal(a.values, b.values)
+
+
+class TestChainKernel:
+    def test_conserves_appearances(self):
+        # Slow decay, so many chains cross block boundaries and the horizon.
+        spec = GeomInarSpec(5.0, 0.3, 0.6)
+        rng = RngStream(91)
+
+        def gaps(k):
+            return geometric_draws(1.0 - spec.gamma, k, rng)
+
+        out, stats = _run_chains(spec.lambda_, spec.total_weight, gaps, 20_000, rng)
+        assert stats["appearances"] == int(out.sum()) + stats["beyond"]
+        assert stats["appearances"] > stats["chains"] > 0
+        assert stats["beyond"] > 0
+
+    @pytest.mark.parametrize(
+        "name, simulate, weights, mean, seeds",
+        [
+            ("inar1", lambda s: simulate_inar1(Inar1Spec(20.0, 0.5), 50_000, RngStream(s)),
+             [0.5], 40.0, (131, 132)),
+            ("inar_p",
+             lambda s: simulate_inar_p(InarPSpec(20.0, (0.3, 0.15, 0.07)), 50_000, RngStream(s)),
+             [0.3, 0.15, 0.07], 20.0 / 0.48, (141, 142)),
+            ("geom_inf",
+             lambda s: simulate_inar_inf(GeomInarSpec(20.0, 0.3, 0.4), 50_000, RngStream(s)),
+             [0.3 * 0.4 ** (i - 1) for i in range(1, 6)], 20.0 * 0.6 / 0.3, (151, 152)),
+        ],
+    )
+    def test_dense_moments_over_many_blocks(self, reseed_once, name, simulate, weights, mean,
+                                            seeds):
+        assert 50_000 * mean > 10 * _BLOCK_APPEARANCES  # the run spans many blocks
+
+        def check(seed):
+            s = simulate(seed).values
+            assert abs(s.mean() - mean) <= 3 * batch_se(s), name
+            for k, target in enumerate(renewal_acf(weights, 5), start=1):
+                assert abs(acf(s, k) - target) <= 3 * batch_acf_se(s, k), (name, k)
+
+        reseed_once(check, *seeds)
+
+    def test_geometric_lag_without_decay_matches_first_order(self, reseed_once):
+        def check(seed):
+            g = simulate_inar_inf(GeomInarSpec(LAM, ALPHA, 0.0), 100_000, RngStream(seed))
+            i1 = simulate_inar1(Inar1Spec(LAM, ALPHA), 100_000, RngStream(seed + 1))
+            se = math.hypot(batch_se(g.values), batch_se(i1.values))
+            assert abs(g.values.mean() - i1.values.mean()) <= 3 * se
+            for k in range(1, 6):
+                se_acf = math.hypot(batch_acf_se(g.values, k), batch_acf_se(i1.values, k))
+                assert abs(acf(g.values, k) - acf(i1.values, k)) <= 3 * se_acf
+
+        reseed_once(check, 161, 162)
 
 
 class TestApplyReporting:
@@ -239,6 +312,9 @@ class TestApplyReporting:
             ReportingSpec(q=0.0)
         with pytest.raises(ParameterError):
             ReportingSpec(q=0.5, omega=1.5)
+        for q, omega in ((math.nan, 1.0), (0.5, math.nan), (math.inf, 1.0)):
+            with pytest.raises(ParameterError):
+                ReportingSpec(q=q, omega=omega)
 
 
 @pytest.fixture(scope="module")
@@ -257,7 +333,7 @@ class TestIndividualLevel:
 
     def test_population_follows_first_order_recursion(self, trace):
         assert abs(trace.x.mean() - STATIONARY_MEAN) <= 3 * batch_se(trace.x)
-        assert abs(acf1(trace.x) - ALPHA) <= 3 * batch_acf1_se(trace.x)
+        assert abs(acf(trace.x) - ALPHA) <= 3 * batch_acf_se(trace.x)
 
     def test_observed_follows_thinned_law(self, trace):
         assert abs(trace.x_tilde.mean() - OBSERVED_MEAN) <= 3 * batch_se(trace.x_tilde)
