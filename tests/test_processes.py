@@ -255,6 +255,7 @@ class TestChainKernel:
              lambda s: simulate_inar_inf(GeomInarSpec(20.0, 0.3, 0.4), 50_000, RngStream(s)),
              [0.3 * 0.4 ** (i - 1) for i in range(1, 6)], 20.0 * 0.6 / 0.3, (151, 152)),
         ],
+        ids=["inar1", "inar_p", "geom_inf"],
     )
     def test_dense_moments_over_many_blocks(self, reseed_once, name, simulate, weights, mean,
                                             seeds):
