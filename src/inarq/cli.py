@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from .diagnostics import equivalence_mc_test, individual_level_checks
+from .diagnostics import _acf, equivalence_mc_test, individual_level_checks
 from .equivalence import (
     UnderreportedModel,
     canonicalize,
@@ -138,15 +138,10 @@ def cmd_simulate(args) -> int:
     vals = observed.values.astype(float)
     mean = float(vals.mean())
     variance = float(vals.var(ddof=1)) if vals.size > 1 else 0.0
-    if variance > 0.0:
-        centered = vals - mean
-        acf_1 = float(centered[:-1] @ centered[1:] / (centered @ centered))
-    else:
-        acf_1 = None
     print(json.dumps({
         "mean": _f(mean),
         "variance": _f(variance),
-        "acf_1": None if acf_1 is None else _f(acf_1),
+        "acf_1": _f(_acf(vals, 1)[0]) if variance > 0.0 else None,
         "n": len(observed),
     }))
     return 0

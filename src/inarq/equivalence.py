@@ -9,6 +9,7 @@ operations are pure arithmetic, exact to machine precision.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -57,8 +58,8 @@ class CanonicalForm:
     q_star: float
 
     def __post_init__(self):
-        if not self.lambda_star > 0:
-            raise ParameterError(f"rate must be positive, got {self.lambda_star}")
+        if not (math.isfinite(self.lambda_star) and self.lambda_star > 0):
+            raise ParameterError(f"rate must be positive and finite, got {self.lambda_star}")
         if not 0.0 <= self.alpha_star < 1.0:
             raise ParameterError(
                 f"survival probability must lie in [0, 1), got {self.alpha_star}"

@@ -10,7 +10,6 @@ reproduce the same laws.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -181,23 +180,25 @@ def _default_burn_in(total_weight: float) -> int:
 _BLOCK_APPEARANCES = 1 << 15
 
 
-def _run_chains(
+def _unit_gaps(k: int) -> np.ndarray:
+    return np.ones(k, dtype=np.int64)
+
+
+def _chain_blocks(
     lam: float, rho: float, gap_draw, steps: int, rng: RngStream, initial: int = 0
-) -> tuple[np.ndarray, dict[str, int]]:
-    """Counts of an immigrant-chain process over ``steps`` steps.
+):
+    """Lay out immigrant chains over ``steps`` steps, one block at a time.
 
     Each step Poisson(lam) immigrants arrive (plus ``initial`` at step 0).
     Each makes a chain of Geom(1 - rho) appearances: the first at its arrival
     step, the next ones after gaps drawn by ``gap_draw(k)`` (k gaps, each
-    >= 1). The count at a step is the number of appearances there. Immigrants
-    are drawn in blocks of about ``_BLOCK_APPEARANCES`` expected appearances,
-    each block's chains laid out whole; appearances past the horizon are
-    dropped. Returns the counts and the numbers of chains, appearances drawn
-    and appearances dropped.
+    >= 1). Immigrants are drawn in blocks of about ``_BLOCK_APPEARANCES``
+    expected appearances, each block's chains laid out whole, so appearance
+    times may run past the block and past the horizon. Yields, per block, its
+    first step, the chains' arrival steps and lengths, and every appearance
+    time, all in chain order.
     """
-    out = np.zeros(steps, dtype=np.int64)
     block = int(min(steps, max(1.0, _BLOCK_APPEARANCES * (1.0 - rho) / lam)))
-    chains = appearances = 0
     for t0 in range(0, steps, block):
         width = min(block, steps - t0)
         starts = rng.generator.poisson(lam, width)
@@ -205,9 +206,7 @@ def _run_chains(
         n = int(starts.sum())
         lengths = geometric_draws(1.0 - rho, n, rng)
         total = int(lengths.sum())
-        chains += n
-        appearances += total
-        times = np.repeat(np.arange(t0, t0 + width), starts)
+        arrivals = times = np.repeat(np.arange(t0, t0 + width), starts)
         if total > n:
             # Segmented cumsum: each chain's first slot holds a zero gap, so
             # the running sum less its value there is the chain's elapsed time.
@@ -217,7 +216,25 @@ def _run_chains(
             elapsed = np.zeros(total, dtype=np.int64)
             elapsed[later] = gap_draw(total - n)
             np.cumsum(elapsed, out=elapsed)
-            times = np.repeat(times - elapsed[firsts], lengths) + elapsed
+            times = np.repeat(arrivals - elapsed[firsts], lengths) + elapsed
+        yield t0, arrivals, lengths, times
+
+
+def _run_chains(
+    lam: float, rho: float, gap_draw, steps: int, rng: RngStream, initial: int = 0
+) -> tuple[np.ndarray, dict[str, int]]:
+    """Counts of an immigrant-chain process over ``steps`` steps.
+
+    The count at a step is the number of appearances there of the chains laid
+    out by :func:`_chain_blocks`; appearances past the horizon are dropped.
+    Returns the counts and the numbers of chains, appearances drawn and
+    appearances dropped.
+    """
+    out = np.zeros(steps, dtype=np.int64)
+    chains = appearances = 0
+    for t0, arrivals, _, times in _chain_blocks(lam, rho, gap_draw, steps, rng, initial):
+        chains += arrivals.size
+        appearances += times.size
         counts = np.bincount(times[times < steps] - t0)
         out[t0 : t0 + counts.size] += counts
     beyond = appearances - int(out.sum())
@@ -249,7 +266,7 @@ def simulate_inar1(
     Returns the last ``t_len`` (at least 1) steps.
     """
     return _chain_series(
-        spec.lambda_, spec.alpha, lambda k: np.ones(k, dtype=np.int64), t_len, burn_in,
+        spec.lambda_, spec.alpha, _unit_gaps, t_len, burn_in,
         rng, f"inar1(lambda={spec.lambda_},alpha={spec.alpha})",
         initial_mean=spec.stationary_mean * spec.alpha,
     )
@@ -399,21 +416,30 @@ def write_trace_csv(trace: PopulationTrace, path, long_path) -> None:
         fh.write(trace.to_long_csv())
 
 
+def _pair_counts(t: np.ndarray, i: np.ndarray, t_len: int) -> dict[tuple[int, int], int]:
+    """Tally the pairs (t[k], i[k]), each i below ``t_len``, as {(t, i): count}."""
+    keys, counts = np.unique(t * t_len + i, return_counts=True)
+    return dict(zip(zip(*(k.tolist() for k in np.divmod(keys, t_len))), counts.tolist()))
+
+
 def simulate_individual_level(
     spec: Inar1Spec, rep: ReportingSpec, t_len: int, rng: RngStream
 ) -> PopulationTrace:
     """Simulate the population individual by individual and aggregate it.
 
-    Each step, Poisson(lambda) individuals are born; every individual present
-    survives to the next step with probability alpha and, while alive, is
-    observed with probability q at each step, all independently. The alive
-    count then follows the first-order autoregression and the observed count
-    its thinned version, which is what makes the aggregated trace a useful
-    cross-check for the process-level simulators.
+    Each individual is a chain of the first-order process: Poisson(lambda)
+    are born each step, starting from an empty population, and each stays
+    alive for Geom(1 - alpha) consecutive steps. At every step it is alive an
+    individual is observed with probability q, independently, so the gaps
+    between its observations are Geom(1 - alpha * (1 - q)), the geometric lag
+    of the fully observed image. The alive count follows the first-order
+    autoregression and the observed count its thinned version, which is what
+    makes the aggregated trace a useful cross-check for the process-level
+    simulators.
 
     Only time-homogeneous reporting is supported (``omega`` must be 1).
-    Dead individuals are retired from the working set immediately, so memory
-    tracks the alive population, not the elapsed time.
+    ``individuals`` keeps a record of every individual born, so memory grows
+    with lambda * t_len.
     """
     if rep.omega != 1.0:
         raise UnsupportedMechanismError(
@@ -421,73 +447,42 @@ def simulate_individual_level(
         )
     if t_len < 1:
         raise ParameterError(f"series length must be at least 1, got {t_len}")
-    g = rng.generator
-    q = rep.q
-    alpha = spec.alpha
+    blocks = [b[1:] for b in _chain_blocks(spec.lambda_, spec.alpha, _unit_gaps, t_len, rng)]
+    births, lengths, times = map(np.concatenate, zip(*blocks))
+    owner = np.repeat(np.arange(births.size), lengths)
+    inside = times < t_len
+    times, owner = times[inside], owner[inside]
+    seen = rng.generator.random(times.size) < rep.q
+    obs_t, obs_owner = times[seen], owner[seen]
+    # Observations are grouped by individual and in time order: each one is
+    # either its individual's first or a re-observation of the one before it.
+    first = np.ones(obs_t.size, dtype=bool)
+    first[1:] = obs_owner[1:] != obs_owner[:-1]
+    again = np.nonzero(~first)[0]
+    prev_t = obs_t[again - 1]
+    gaps = obs_t[again] - prev_t
+    gap_values, gap_counts = np.unique(gaps, return_counts=True)
 
-    births: list[int] = []
-    last_obs: list[int] = []  # -1 while never observed
-    obs_times: list[list[int]] = []
-
-    x = np.zeros(t_len, dtype=np.int64)
-    x_tilde = np.zeros(t_len, dtype=np.int64)
-    u_total = np.zeros(t_len, dtype=np.int64)
-    v_total = np.zeros(t_len, dtype=np.int64)
-    b_tilde = np.zeros(t_len, dtype=np.int64)
-    u_counts: dict[tuple[int, int], int] = defaultdict(int)
-    v_counts: dict[tuple[int, int], int] = defaultdict(int)
-    gaps: dict[int, int] = defaultdict(int)
-    records: list[tuple[int, int | None, tuple[int, ...]]] = []
-
-    for t in range(t_len):
-        for _ in range(poisson_draw(spec.lambda_, rng)):
-            births.append(t)
-            last_obs.append(-1)
-            obs_times.append([])
-        n = len(births)
-        x[t] = n
-        if n == 0:
-            continue
-
-        observed = g.random(n) < q
-        x_tilde[t] = int(observed.sum())
-        for j in np.nonzero(observed)[0]:
-            prev = last_obs[j]
-            if prev < 0:
-                age = t - births[j]
-                u_counts[(t, age)] += 1
-                u_total[t] += 1
-            else:
-                gap = t - prev
-                v_counts[(t, gap)] += 1
-                v_total[t] += 1
-                gaps[gap] += 1
-                b_tilde[prev] += 1  # the previous observation now has a successor
-            last_obs[j] = t
-            obs_times[j].append(t)
-
-        survives = g.random(n) < alpha
-        keep = np.nonzero(survives)[0]
-        for j in np.nonzero(~survives)[0]:
-            records.append((births[j], t + 1, tuple(obs_times[j])))
-        births = [births[j] for j in keep]
-        last_obs = [last_obs[j] for j in keep]
-        obs_times = [obs_times[j] for j in keep]
-
-    records.extend(
-        (births[j], None, tuple(obs_times[j])) for j in range(len(births))
+    obs_list = obs_t.tolist()
+    ends = np.cumsum(np.bincount(obs_owner, minlength=births.size)).tolist()
+    records = tuple(
+        (b, d if d <= t_len else None, tuple(obs_list[s:e]))
+        for b, d, s, e in zip(births.tolist(), (births + lengths).tolist(), [0, *ends], ends)
     )
 
+    def per_step(t):
+        return np.bincount(t, minlength=t_len)
+
     return PopulationTrace(
-        x=x,
-        x_tilde=x_tilde,
-        u_total=u_total,
-        v_total=v_total,
-        b_tilde=b_tilde,
-        u_counts=dict(u_counts),
-        v_counts=dict(v_counts),
-        gaps=dict(gaps),
-        individuals=tuple(records),
-        params=(spec.lambda_, spec.alpha, q),
+        x=per_step(times),
+        x_tilde=per_step(obs_t),
+        u_total=per_step(obs_t[first]),
+        v_total=per_step(obs_t[again]),
+        b_tilde=per_step(prev_t),  # each predecessor has a later observation
+        u_counts=_pair_counts(obs_t[first], obs_t[first] - births[obs_owner[first]], t_len),
+        v_counts=_pair_counts(obs_t[again], gaps, t_len),
+        gaps=dict(zip(gap_values.tolist(), gap_counts.tolist())),
+        individuals=records,
+        params=(spec.lambda_, spec.alpha, rep.q),
         seed=rng.identity,
     )

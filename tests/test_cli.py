@@ -150,6 +150,16 @@ class TestTransform:
         assert "finite" in res.stderr
         assert "Traceback" not in res.stderr
 
+    def test_overflowing_canonical_rate_is_input_error(self, tmp_path):
+        # Valid finite inputs whose canonical rate lambda*(beta+gamma)*(1-gamma)/beta overflows.
+        doc = {"latent": {"kind": "geom_inf", "lambda": 9e18, "beta": 1e-300, "gamma": 0.5}}
+        res = run_cli("transform", write_spec(tmp_path, doc), "--to", "canonical")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith("error:")
+        assert "finite" in res.stderr
+        assert "Traceback" not in res.stderr
+
     def test_heterogeneous_reporting_rejected(self, tmp_path):
         spec = write_spec(tmp_path, dict(EXAMPLE_SPEC, reporting={"q": 0.33, "omega": 0.9}))
         res = run_cli("transform", spec, "--to", "inf")

@@ -18,7 +18,14 @@ from inarq import (
     simulate_inar_p,
     simulate_individual_level,
 )
-from inarq.processes import _BLOCK_APPEARANCES, _CSV_CHUNK_ROWS, _run_chains, write_series_csv
+from inarq.processes import (
+    _BLOCK_APPEARANCES,
+    _CSV_CHUNK_ROWS,
+    _chain_blocks,
+    _run_chains,
+    _unit_gaps,
+    write_series_csv,
+)
 from inarq.sampling import geometric_draws
 
 # Worked example used throughout: a weekly case-count model with immigration
@@ -383,3 +390,53 @@ class TestIndividualLevel:
         )
         assert np.array_equal(a.x, b.x)
         assert a.to_long_csv() == b.to_long_csv()
+
+
+class TestTracePathwiseIdentities:
+    def test_decompositions_sum_to_totals(self, trace):
+        for table, total in ((trace.u_counts, trace.u_total), (trace.v_counts, trace.v_total)):
+            per_t = np.zeros(len(trace), dtype=np.int64)
+            for (t, _), c in table.items():
+                per_t[t] += c
+            assert np.array_equal(per_t, total)
+
+    def test_gaps_are_the_gap_marginal_of_reobservations(self, trace):
+        marginal = {}
+        for (_, i), c in trace.v_counts.items():
+            marginal[i] = marginal.get(i, 0) + c
+        assert marginal == trace.gaps
+
+    def test_predecessor_counts_match_reobservations(self, trace):
+        per_s = np.zeros(len(trace), dtype=np.int64)
+        for (t, i), c in trace.v_counts.items():
+            per_s[t - i] += c
+        assert np.array_equal(per_s, trace.b_tilde)
+
+    def test_individuals_add_up_to_counts(self, trace):
+        t_len = len(trace)
+        births = np.array([b for b, _, _ in trace.individuals])
+        ends = np.array([t_len if d is None else d for _, d, _ in trace.individuals])
+        assert (births < ends).all() and (ends <= t_len).all()
+        # alive steps [birth, end) clipped to the horizon, tallied per step
+        alive = np.cumsum(np.bincount(births, minlength=t_len + 1)
+                          - np.bincount(ends, minlength=t_len + 1))[:t_len]
+        assert np.array_equal(alive, trace.x)
+        assert alive.sum() == trace.x.sum() == (ends - births).sum()
+        observed = np.concatenate([obs for _, _, obs in trace.individuals]).astype(np.int64)
+        assert np.array_equal(np.bincount(observed, minlength=t_len), trace.x_tilde)
+
+    def test_death_unknown_exactly_when_lifetime_passes_horizon(self, trace):
+        t_len = len(trace)
+        # The simulator lays out its individuals with the chain kernel before any
+        # observation draw, so replaying the kernel on the same stream recovers
+        # every individual's birth and lifetime, in record order.
+        blocks = list(_chain_blocks(LAM, ALPHA, _unit_gaps, t_len, RngStream(121)))
+        births = np.concatenate([b for _, b, _, _ in blocks]).tolist()
+        lifetimes = np.concatenate([n for _, _, n, _ in blocks]).tolist()
+        assert [b for b, _, _ in trace.individuals] == births
+        for (_, death, _), birth, life in zip(trace.individuals, births, lifetimes):
+            assert (death is None) == (birth + life > t_len)
+            assert death is None or death == birth + life
+        # alive at the last step = still alive after it, or dying right at the horizon
+        at_end = sum(1 for _, d, _ in trace.individuals if d is None or d == t_len)
+        assert at_end == trace.x[-1]
