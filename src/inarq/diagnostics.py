@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import stats as sps
 
 from .equivalence import UnderreportedModel, canonicalize
 from .errors import (
@@ -39,7 +38,7 @@ BATCH_COUNT = 50
 Z_LIMIT = 3.0
 TV_MARGINAL_THRESHOLD = 0.01  # calibrated for pooled samples of 2e5 and up
 TV_JOINT_THRESHOLD = 0.02  # calibrated for pooled samples of 1e6 and up
-CHI2_P_FLOOR = 2 * sps.norm.sf(3.0)  # two-sided 3-sigma equivalent, ~0.0027
+CHI2_P_FLOOR = math.erfc(3.0 / math.sqrt(2.0))  # two-sided 3-sigma equivalent, ~0.0027
 CANONICAL_TOL = 1e-12
 
 
@@ -120,6 +119,38 @@ def total_variation(p: dict, q: dict) -> float:
     return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
 
 
+def _poisson_pmf(mu: float, n: int) -> np.ndarray:
+    """Pois(k; mu) for k = 0..n, from cumulative log-factorials."""
+    k = np.arange(n + 1)
+    if mu == 0.0:
+        return (k == 0).astype(np.float64)
+    log_factorial = np.concatenate(([0.0], np.cumsum(np.log(k[1:]))))
+    return np.exp(k * math.log(mu) - mu - log_factorial)
+
+
+def _poisson_quantile(mu: float, tail: float) -> int:
+    """Smallest k with P(X > k) <= tail for X ~ Poisson(mu).
+
+    The tail is summed from the top of a support that reaches far past it.
+    A lower-tail cumulative sum would stall just below 1 from rounding and
+    overshoot the quantile.
+    """
+    pmf = _poisson_pmf(mu, int(mu + 12.0 * math.sqrt(mu)) + 40)
+    at_least = np.cumsum(pmf[::-1])[::-1]  # P(X >= k)
+    beyond = np.append(at_least[1:], 0.0)  # P(X > k)
+    return int(np.argmax(beyond <= tail))
+
+
+def _binomial_table(p: float, n: int) -> np.ndarray:
+    """table[x, k] = Bin(k; x, p) for x, k = 0..n, by Pascal's recurrence."""
+    table = np.zeros((n + 1, n + 1))
+    table[0, 0] = 1.0
+    for x in range(1, n + 1):
+        table[x] = table[x - 1] * (1.0 - p)
+        table[x, 1:] += table[x - 1, :-1] * p
+    return table
+
+
 def joint_pmf_oracle(
     model: UnderreportedModel,
     support_cap: int | None = None,
@@ -134,9 +165,11 @@ def joint_pmf_oracle(
         P(a, b) = sum_{x1, x2} Pois(x1; mu) P(x2 | x1) Bin(a; x1, q) Bin(b; x2, q)
 
     with mu = lambda / (1 - alpha). Latent states are enumerated up to
-    ``truncation`` and observed values up to ``support_cap``; both default to
-    quantiles leaving negligible mass. Raises TruncationError if the retained
-    joint mass is not above 1 - 1e-8.
+    ``truncation`` and observed values up to ``support_cap``. By default
+    these are Poisson quantiles computed in this module: 15 above the point
+    leaving 1e-13 of the latent marginal, and 10 above the point leaving
+    1e-12 of the observed one. Raises TruncationError if the retained joint
+    mass is not above 1 - 1e-8.
     """
     latent = model.latent
     if latent.gamma != 0.0:
@@ -146,27 +179,25 @@ def joint_pmf_oracle(
     lam, alpha, q = latent.lambda_, latent.beta, model.q
     mu = lam / (1.0 - alpha) if alpha > 0 else lam
     if truncation is None:
-        truncation = int(sps.poisson.ppf(1.0 - 1e-13, mu)) + 15
+        truncation = _poisson_quantile(mu, 1e-13) + 15
     if support_cap is None:
-        support_cap = min(truncation, int(sps.poisson.ppf(1.0 - 1e-12, q * mu)) + 10)
+        support_cap = min(truncation, _poisson_quantile(q * mu, 1e-12) + 10)
     if support_cap < 0 or truncation < 0:
         raise ParameterError("support_cap and truncation must be nonnegative")
     if support_cap > truncation:
         support_cap = truncation
 
+    pi = _poisson_pmf(mu, truncation)
+    immigration = _poisson_pmf(lam, truncation)
+
+    # transition[x1, x2] = sum_k Bin(k; x1, alpha) Pois(x2 - k; lambda):
+    # survivors of the thinning plus immigrants. arrivals[k, x2] holds
+    # Pois(x2 - k; lambda), zero below the diagonal.
     xs = np.arange(truncation + 1)
-    pi = sps.poisson.pmf(xs, mu)
-    immigration = sps.poisson.pmf(xs, lam)
+    arrivals = np.triu(immigration[np.abs(xs[None, :] - xs[:, None])])
+    transition = _binomial_table(alpha, truncation) @ arrivals
 
-    # transition[x1, x2]: thinning of x1 survivors convolved with immigration
-    transition = np.zeros((truncation + 1, truncation + 1))
-    for x1 in xs:
-        thin = sps.binom.pmf(np.arange(x1 + 1), x1, alpha)
-        transition[x1, :] = np.convolve(thin, immigration)[: truncation + 1]
-
-    observe = sps.binom.pmf(
-        np.arange(support_cap + 1)[None, :], xs[:, None], q
-    )  # (truncation+1, support_cap+1)
+    observe = _binomial_table(q, truncation)[:, : support_cap + 1]
 
     joint = observe.T @ (pi[:, None] * (transition @ observe))
     mass = float(joint.sum())
@@ -186,7 +217,7 @@ class StatComparison(NamedTuple):
     name: str
     value_1: float
     value_2: float
-    z: float
+    z: float | None
 
 
 @dataclass(frozen=True)
@@ -196,7 +227,7 @@ class EquivalenceReport:
     canonical_delta: dict[str, float]
     stats: tuple[StatComparison, ...]
     tv_marginal: float
-    tv_joint: float | None
+    tv_joint: float
     verdict: str
     seeds: dict[str, int]
     n: dict[str, int]
@@ -220,7 +251,7 @@ class EquivalenceReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        return json.dumps(self.to_json_dict(), indent=2, allow_nan=False)
 
 
 def _observed_series(model: UnderreportedModel, t_len: int, stream: RngStream) -> CountSeries:
@@ -271,6 +302,19 @@ def _pooled_joint_pmf(samples: list[np.ndarray]) -> dict[tuple[int, int], float]
     return {k: c / total for k, c in counts.items()}
 
 
+def _z_score(estimate: float, target: float, se: float) -> float | None:
+    """(estimate - target) / se; 0 for a zero SE on target, None if undefined."""
+    if se > 0.0:
+        return (estimate - target) / se
+    if se == 0.0 and estimate == target:
+        return 0.0
+    return None
+
+
+def _within_z_limit(z: float | None) -> bool:
+    return z is not None and abs(z) <= Z_LIMIT
+
+
 def _canonical_within_tolerance(delta: dict[str, float], lambda_scale: float) -> bool:
     return (
         abs(delta["lambda"]) <= CANONICAL_TOL * max(1.0, abs(lambda_scale))
@@ -286,7 +330,6 @@ def equivalence_mc_test(
     reps: int,
     master_seed: RngStream,
     max_lag: int = 5,
-    include_joint: bool = True,
 ) -> EquivalenceReport:
     """Test whether two models generate the same observed process.
 
@@ -294,10 +337,10 @@ def equivalence_mc_test(
     simulated (``reps`` replicates each, one after another on disjoint
     substreams of ``master_seed``) and compared on mean, variance and
     autocorrelations via batch-means z-scores, on the marginal pmf via total
-    variation, and, when requested, on the empirical bivariate law of
-    consecutive counts against the enumeration oracle of the shared
-    equivalence class. The verdict passes only if every z-score is within
-    3 and the distances stay under the calibrated thresholds.
+    variation, and on the empirical bivariate law of consecutive counts
+    against the enumeration oracle of the shared equivalence class. The
+    verdict passes only if every z-score is defined and within 3 and the
+    distances stay under the calibrated thresholds.
 
     The report is a pure function of the inputs and the master seed.
     """
@@ -319,12 +362,8 @@ def equivalence_mc_test(
     names = ["mean", "variance"] + [f"acf_{k}" for k in range(1, max_lag + 1)]
     comparisons = []
     for i, name in enumerate(names):
-        denom = math.hypot(se1[i], se2[i])
-        if denom == 0.0:
-            z = 0.0 if est1[i] == est2[i] else math.inf
-        else:
-            z = (est1[i] - est2[i]) / denom
-        comparisons.append(StatComparison(name, float(est1[i]), float(est2[i]), float(z)))
+        z = _z_score(float(est1[i]), float(est2[i]), math.hypot(se1[i], se2[i]))
+        comparisons.append(StatComparison(name, float(est1[i]), float(est2[i]), z))
 
     tv_marginal = total_variation(_pooled_pmf(sample1), _pooled_pmf(sample2))
 
@@ -335,25 +374,23 @@ def equivalence_mc_test(
         "q": c1.q_star - c2.q_star,
     }
 
-    tv_joint = None
-    if include_joint:
-        oracle = joint_pmf_oracle(c1.as_model())
-        tv_joint = max(
-            total_variation(_pooled_joint_pmf(sample1), oracle),
-            total_variation(_pooled_joint_pmf(sample2), oracle),
-        )
+    oracle = joint_pmf_oracle(c1.as_model())
+    tv_joint = max(
+        total_variation(_pooled_joint_pmf(sample1), oracle),
+        total_variation(_pooled_joint_pmf(sample2), oracle),
+    )
 
     ok = (
-        all(abs(c.z) <= Z_LIMIT for c in comparisons)
+        all(_within_z_limit(c.z) for c in comparisons)
         and tv_marginal <= TV_MARGINAL_THRESHOLD
-        and (tv_joint is None or tv_joint <= TV_JOINT_THRESHOLD)
+        and tv_joint <= TV_JOINT_THRESHOLD
         and _canonical_within_tolerance(delta, c1.lambda_star)
     )
     return EquivalenceReport(
         canonical_delta=delta,
         stats=tuple(comparisons),
         tv_marginal=float(tv_marginal),
-        tv_joint=None if tv_joint is None else float(tv_joint),
+        tv_joint=float(tv_joint),
         verdict="pass" if ok else "fail",
         seeds={"seed": master_seed.seed, "stream_id": master_seed.stream_id},
         n={"t_len": t_len, "reps": reps, "total": t_len * reps},
@@ -401,7 +438,7 @@ class TraceCheckReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        return json.dumps(self.to_json_dict(), indent=2, allow_nan=False)
 
 
 def _settle_window(decay: float, horizon: int) -> int:
@@ -413,12 +450,30 @@ def _settle_window(decay: float, horizon: int) -> int:
 
 def _mean_check(name: str, values: np.ndarray, target: float) -> CheckResult:
     est = float(values.mean())
-    se = batch_means_se(values)
-    if se == 0.0:
-        z = 0.0 if est == target else math.inf
-    else:
-        z = (est - target) / se
-    return CheckResult(name, target, est, float(z), None, abs(z) <= Z_LIMIT)
+    z = _z_score(est, target, batch_means_se(values))
+    return CheckResult(name, target, est, z, None, _within_z_limit(z))
+
+
+def _chi2_sf(stat: float, df: int) -> float:
+    """P(chi-square with ``df`` degrees of freedom > stat), for integer df >= 1.
+
+    With h = stat / 2 this is the regularized upper incomplete gamma
+    Q(df / 2, h): exp(-h) sum_{j < df/2} h^j / j! for even df, and
+    erfc(sqrt(h)) plus exp(-h) sum_{j < (df-1)/2} h^(j+1/2) / Gamma(j + 3/2)
+    for odd df. Each term is formed in log space, so it does not underflow
+    while the sum is still above the smallest double.
+    """
+    h = stat / 2.0
+    if h == 0.0:
+        return 1.0
+    if df % 2 == 0:
+        return sum(
+            math.exp(j * math.log(h) - h - math.lgamma(j + 1)) for j in range(df // 2)
+        )
+    return math.erfc(math.sqrt(h)) + sum(
+        math.exp((j + 0.5) * math.log(h) - h - math.lgamma(j + 1.5))
+        for j in range(df // 2)
+    )
 
 
 def _geometric_chi_square(gaps: dict[int, int], success_prob: float) -> CheckResult:
@@ -451,7 +506,9 @@ def _geometric_chi_square(gaps: dict[int, int], success_prob: float) -> CheckRes
         tail_obs = observed.pop()
         expected[-1] += tail_exp
         observed[-1] += tail_obs
-    stat, p = sps.chisquare(observed, expected)
+    f_obs, f_exp = np.array(observed, dtype=np.float64), np.array(expected)
+    stat = float(((f_obs - f_exp) ** 2 / f_exp).sum())
+    p = _chi2_sf(stat, len(observed) - 1)
     return CheckResult(
         "gap_distribution", None, None, None, float(p), bool(p >= CHI2_P_FLOOR),
         detail={"chi2": float(stat), "bins": len(observed), "n_gaps": n},
@@ -496,7 +553,7 @@ def individual_level_checks(
         rate_detail[str(i)] = {
             "target": result.target, "estimate": result.estimate, "z": result.z,
         }
-    worst = max(rate_results, key=lambda r: abs(r.z))
+    worst = max(rate_results, key=lambda r: math.inf if r.z is None else abs(r.z))
     checks.append(CheckResult(
         "first_obs_rates", None, None, worst.z, None,
         all(r.passed for r in rate_results), detail=rate_detail,
@@ -520,9 +577,9 @@ def individual_level_checks(
         ratios = bb[bx > 0] / bx[bx > 0]
         est = float(seen_again.sum() / x_obs.sum())
         se = float(ratios.std(ddof=1) / math.sqrt(ratios.size))
-        z = (est - target_frac) / se if se > 0 else (0.0 if est == target_frac else math.inf)
+        z = _z_score(est, target_frac, se)
         checks.append(CheckResult(
-            "reobservation_fraction", target_frac, est, float(z), None, abs(z) <= Z_LIMIT,
+            "reobservation_fraction", target_frac, est, z, None, _within_z_limit(z),
         ))
 
     split_ok = bool((trace.x_tilde == trace.u_total + trace.v_total).all())

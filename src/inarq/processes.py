@@ -385,8 +385,7 @@ class PopulationTrace:
                 "observed counts must split exactly into first and repeat observations"
             )
         for birth, death, obs in self.individuals:
-            end = death if death is not None else math.inf
-            if any(not birth <= o < end for o in obs):
+            if obs and (min(obs) < birth or (death is not None and max(obs) >= death)):
                 raise ParameterError(
                     "observation times must lie within the individual's lifetime"
                 )

@@ -248,10 +248,42 @@ class TestAppendix:
         res = run_cli("appendix", spec, "--t", "100", "--out", str(tmp_path / "t.csv"))
         assert res.returncode == 2
 
+    def test_undefined_z_fails_with_strict_json(self, tmp_path):
+        # Nobody is ever observed, so the first-observation checks have a zero
+        # standard error and an estimate off their target: z is undefined.
+        doc = {"latent": {"kind": "inar1", "lambda": 1e-9, "alpha": 0.5},
+               "reporting": {"q": 0.5}}
+        spec = write_spec(tmp_path, doc)
+        res = run_cli("appendix", spec, "--t", "1000", "--seed", "1",
+                      "--out", str(tmp_path / "tr.csv"))
+        assert res.returncode == 1
+        assert "Traceback" not in res.stderr
+
+        def reject(name):
+            raise ValueError(f"non-strict JSON constant {name}")
+
+        doc = json.loads(res.stdout, parse_constant=reject)
+        checks = {c["name"]: c for c in doc["checks"]}
+        assert checks["first_obs_mean"]["z"] is None
+        assert not checks["first_obs_mean"]["passed"]
+        assert checks["first_obs_rates"]["z"] is None
+        assert not checks["first_obs_rates"]["passed"]
+
     def test_requires_first_order_latent(self, tmp_path):
         spec = write_spec(tmp_path, IMAGE_SPEC)
         res = run_cli("appendix", spec, "--t", "100", "--out", str(tmp_path / "t.csv"))
         assert res.returncode == 2
+
+
+class TestImports:
+    def test_cli_import_loads_no_scipy(self):
+        code = (
+            "import sys, inarq.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "[]"
 
 
 class TestDeterminism:

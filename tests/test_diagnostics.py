@@ -27,11 +27,28 @@ from inarq import (
     theoretical_observed_moments,
     total_variation,
 )
+from inarq.diagnostics import CHI2_P_FLOOR, _chi2_sf, _poisson_quantile
 
 LAM, ALPHA, Q = 1.62, 0.52, 0.33
 EXAMPLE = UnderreportedModel.from_inar1(Inar1Spec(LAM, ALPHA), Q)
 OBSERVED_MEAN = Q * LAM / (1 - ALPHA)  # 1.11375
 IMAGE_MODEL = UnderreportedModel(absorb_reporting(Inar1Spec(LAM, ALPHA), Q), 1.0)
+
+
+def scipy_joint_pmf(lam, alpha, q):
+    """The enumeration oracle's table and default cut-offs from scipy.stats pmfs."""
+    mu = lam / (1.0 - alpha)
+    truncation = int(sps.poisson.ppf(1.0 - 1e-13, mu)) + 15
+    support_cap = min(truncation, int(sps.poisson.ppf(1.0 - 1e-12, q * mu)) + 10)
+    xs = np.arange(truncation + 1)
+    immigration = sps.poisson.pmf(xs, lam)
+    transition = np.array([
+        np.convolve(sps.binom.pmf(np.arange(x1 + 1), x1, alpha), immigration)[: xs.size]
+        for x1 in xs
+    ])
+    observe = sps.binom.pmf(np.arange(support_cap + 1)[None, :], xs[:, None], q)
+    pi = sps.poisson.pmf(xs, mu)
+    return observe.T @ (pi[:, None] * (transition @ observe)), truncation, support_cap
 
 
 class TestEmpiricalMoments:
@@ -141,6 +158,32 @@ class TestJointPmfOracle:
         with pytest.raises(TruncationError):
             joint_pmf_oracle(EXAMPLE, support_cap=1, truncation=2)
 
+    @pytest.mark.parametrize("lam, alpha, q", [
+        (LAM, ALPHA, Q),
+        (1.3, 0.0, 1.0),
+        (0.05, 0.9, 1.0),
+        (5.0, 0.3, 0.05),
+        (150.0, 0.5, 0.4),  # latent mean 300
+        (0.1, 0.5, 5e-324),  # observed mean underflows to 0
+    ])
+    def test_agrees_with_scipy_reference(self, lam, alpha, q):
+        table, truncation, support_cap = scipy_joint_pmf(lam, alpha, q)
+        mu = lam / (1.0 - alpha)
+        assert _poisson_quantile(mu, 1e-13) + 15 == truncation
+        joint = joint_pmf_oracle(UnderreportedModel.from_inar1(Inar1Spec(lam, alpha), q))
+        assert max(joint) == (support_cap, support_cap)
+        assert len(joint) == table.size
+        assert max(abs(p - table[a, b]) for (a, b), p in joint.items()) <= 1e-12
+
+    def test_default_cutoffs_are_scipy_quantiles(self):
+        for lam in (1e-6, 0.05, 0.5, 1.62, 5.0, 30.0, 100.0, 500.0):
+            for alpha in (0.0, 0.3, 0.52, 0.9):
+                mu = lam / (1.0 - alpha)
+                assert _poisson_quantile(mu, 1e-13) == sps.poisson.ppf(1.0 - 1e-13, mu)
+                for q in (0.05, 0.33, 1.0):
+                    target = sps.poisson.ppf(1.0 - 1e-12, q * mu)
+                    assert _poisson_quantile(q * mu, 1e-12) == target
+
     def test_simulation_agrees_with_oracle(self, reseed_once):
         def check(seed):
             joint = joint_pmf_oracle(EXAMPLE)
@@ -156,6 +199,22 @@ class TestJointPmfOracle:
             assert total_variation(emp, joint) <= 0.03
 
         reseed_once(check, 171, 172)
+
+
+class TestChiSquareTail:
+    def test_survival_function_matches_scipy(self):
+        for df in range(1, 61):
+            for x in np.geomspace(1e-4, 2_000.0, 60):
+                reference = sps.chi2.sf(x, df)
+                if reference >= 1e-300:
+                    assert _chi2_sf(float(x), df) == pytest.approx(reference, rel=1e-12)
+
+    def test_zero_statistic_has_unit_tail(self):
+        assert _chi2_sf(0.0, 1) == 1.0
+        assert _chi2_sf(0.0, 4) == 1.0
+
+    def test_p_floor_is_two_sided_three_sigma(self):
+        assert CHI2_P_FLOOR == pytest.approx(2 * sps.norm.sf(3.0), rel=1e-14)
 
 
 class TestEquivalenceMcTest:

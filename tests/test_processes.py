@@ -9,6 +9,7 @@ from inarq import (
     Inar1Spec,
     InarPSpec,
     ParameterError,
+    PopulationTrace,
     ReportingSpec,
     RngStream,
     UnsupportedMechanismError,
@@ -440,3 +441,25 @@ class TestTracePathwiseIdentities:
         # alive at the last step = still alive after it, or dying right at the horizon
         at_end = sum(1 for _, d, _ in trace.individuals if d is None or d == t_len)
         assert at_end == trace.x[-1]
+
+
+class TestPopulationTraceLifetimes:
+    @staticmethod
+    def make(individuals):
+        zeros = np.zeros(4, dtype=np.int64)
+        return PopulationTrace(
+            x=zeros, x_tilde=zeros, u_total=zeros, v_total=zeros, b_tilde=zeros,
+            u_counts={}, v_counts={}, gaps={}, individuals=individuals,
+            params=(LAM, ALPHA, Q), seed=(0, 0),
+        )
+
+    def test_observations_inside_lifetimes_accepted(self):
+        self.make(((0, 2, (0, 1)), (1, None, (3, 1)), (2, 3, ())))
+
+    def test_observation_before_birth_rejected(self):
+        with pytest.raises(ParameterError):
+            self.make(((0, 2, (0,)), (2, None, (3, 1))))
+
+    def test_observation_at_death_rejected(self):
+        with pytest.raises(ParameterError):
+            self.make(((0, 2, (0,)), (1, 3, (1, 3))))
