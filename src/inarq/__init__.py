@@ -59,7 +59,6 @@ from .processes import (
 from .sampling import (
     RngStream,
     binomial_thin,
-    geometric_draw,
     geometric_draws,
     multinomial_allocate,
     poisson_draw,
@@ -99,7 +98,6 @@ __all__ = [
     "equivalence_curve",
     "equivalence_mc_test",
     "expand_lags",
-    "geometric_draw",
     "geometric_draws",
     "individual_level_checks",
     "joint_pmf_oracle",

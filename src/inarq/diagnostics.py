@@ -55,14 +55,19 @@ class MomentSummary:
     degenerate: bool = False
 
 
-def batch_means_se(values: np.ndarray, n_batches: int = BATCH_COUNT) -> float:
-    """Standard error of the sample mean from non-overlapping batch means."""
+def _batches(values: np.ndarray, n_batches: int = BATCH_COUNT) -> np.ndarray:
+    """``values`` cut into ``n_batches`` equal consecutive rows; the remainder is dropped."""
     usable = values.size - values.size % n_batches
     if usable < n_batches:
         raise InsufficientDataError(
             f"need at least {n_batches} points for batch means, got {values.size}"
         )
-    batch = values[:usable].reshape(n_batches, -1).mean(axis=1)
+    return values[:usable].reshape(n_batches, -1)
+
+
+def batch_means_se(values: np.ndarray, n_batches: int = BATCH_COUNT) -> float:
+    """Standard error of the sample mean from non-overlapping batch means."""
+    batch = _batches(values, n_batches).mean(axis=1)
     return float(batch.std(ddof=1) / math.sqrt(n_batches))
 
 
@@ -262,14 +267,22 @@ def _observed_series(model: UnderreportedModel, t_len: int, stream: RngStream) -
 
 
 def _batch_stats(values: np.ndarray, max_lag: int) -> np.ndarray:
-    """Per-batch mean, variance and acf_1..max_lag; shape (BATCH_COUNT, 2+max_lag)."""
-    usable = values.size - values.size % BATCH_COUNT
-    batches = values[:usable].astype(np.float64).reshape(BATCH_COUNT, -1)
-    rows = np.empty((BATCH_COUNT, 2 + max_lag))
-    for b, batch in enumerate(batches):
-        rows[b, 0] = batch.mean()
-        rows[b, 1] = batch.var(ddof=1)
-        rows[b, 2:] = _acf(batch, max_lag) if rows[b, 1] > 0 else 0.0
+    """Per-batch mean, variance and acf_1..max_lag; shape (BATCH_COUNT, 2+max_lag).
+
+    A batch with zero variance has its autocorrelations set to 0.
+    """
+    batches = _batches(values.astype(np.float64))
+    m = batches.shape[1]
+    means = batches.mean(axis=1, keepdims=True)
+    centred = batches - means
+    # lagged[:, k] = sum_j c_j c_{j+k} within each batch; column 0 is the sum of squares.
+    lagged = np.column_stack(
+        [(centred[:, : m - k] * centred[:, k:]).sum(axis=1) for k in range(max_lag + 1)]
+    )
+    rows = np.zeros((BATCH_COUNT, 2 + max_lag))
+    rows[:, 0] = means[:, 0]
+    rows[:, 1] = lagged[:, 0] / (m - 1)
+    np.divide(lagged[:, 1:], lagged[:, :1], out=rows[:, 2:], where=lagged[:, :1] > 0)
     return rows
 
 
@@ -476,15 +489,17 @@ def _chi2_sf(stat: float, df: int) -> float:
     )
 
 
-def _geometric_chi_square(gaps: dict[int, int], success_prob: float) -> CheckResult:
-    n = sum(gaps.values())
+def _geometric_chi_square(gaps: np.ndarray, success_prob: float) -> CheckResult:
+    """Chi-square test of re-observation gap counts (``gaps[i]`` for gap i) against
+    Geom(success_prob) on {1, 2, ...}."""
+    n = int(gaps.sum())
     if n == 0:
         return CheckResult("gap_distribution", None, None, None, None, True,
                            detail={"note": "no re-observations occurred"})
     if success_prob == 1.0:
-        all_one = set(gaps) == {1}
+        ones = int(gaps[1])
         return CheckResult(
-            "gap_distribution", 1.0, gaps.get(1, 0) / n, None, None, all_one,
+            "gap_distribution", 1.0, ones / n, None, None, ones == n,
             detail={"note": "degenerate: every re-observation gap must be 1"},
         )
     # Collapse the tail so every expected bin count is at least 5.
@@ -498,7 +513,8 @@ def _geometric_chi_square(gaps: dict[int, int], success_prob: float) -> CheckRes
                            detail={"note": "too few re-observations for a binned test"})
     expected = [n * success_prob * (1 - success_prob) ** (i - 1) for i in bins]
     tail = n - sum(expected)
-    observed = [gaps.get(i, 0) for i in bins]
+    observed = gaps[1 : len(bins) + 1].tolist()
+    observed += [0] * (len(bins) - len(observed))
     observed.append(n - sum(observed))
     expected.append(tail)
     if expected[-1] < 5.0:  # fold the tail into the last regular bin
@@ -542,11 +558,10 @@ def individual_level_checks(
 
     rate_detail = {}
     rate_results = []
+    first_t, age, count = trace.u_counts.T
     for i in range(6):
-        per_t = np.zeros(t_len, dtype=np.float64)
-        for (t, age), c in trace.u_counts.items():
-            if age == i:
-                per_t[t] = c
+        at_age = age == i
+        per_t = np.bincount(first_t[at_age], weights=count[at_age], minlength=t_len)
         start = max(warmup, i)
         result = _mean_check(f"age_{i}", per_t[start:], q * lam * decay**i)
         rate_results.append(result)
@@ -571,9 +586,8 @@ def individual_level_checks(
         checks.append(CheckResult("reobservation_fraction", target_frac, None, None, None, True,
                                   detail={"note": "no observations occurred"}))
     else:
-        usable = x_obs.size - x_obs.size % BATCH_COUNT
-        bx = x_obs[:usable].reshape(BATCH_COUNT, -1).sum(axis=1)
-        bb = seen_again[:usable].reshape(BATCH_COUNT, -1).sum(axis=1)
+        bx = _batches(x_obs).sum(axis=1)
+        bb = _batches(seen_again).sum(axis=1)
         ratios = bb[bx > 0] / bx[bx > 0]
         est = float(seen_again.sum() / x_obs.sum())
         se = float(ratios.std(ddof=1) / math.sqrt(ratios.size))

@@ -21,6 +21,9 @@ from .processes import GeomInarSpec, Inar1Spec
 # Rounding guard for boundary arithmetic: values this close to 0 are clamped.
 _BOUNDARY_EPS = 1e-12
 
+# Most lag weights expand_lags lists; a cutoff that keeps more is rejected.
+_MAX_LAG_TERMS = 10**6
+
 
 @dataclass(frozen=True)
 class UnderreportedModel:
@@ -179,21 +182,29 @@ def expand_lags(spec: GeomInarSpec, cutoff: float) -> list[tuple[int, float]]:
     """List lag weights beta * gamma**(i-1) while they stay at or above ``cutoff``.
 
     Weights equal to zero are never emitted. A cutoff of 0 with gamma > 0 is
-    rejected, as the expansion would not terminate.
+    rejected, as the expansion would not terminate, and so is one that keeps
+    more than ``_MAX_LAG_TERMS`` weights: floor(ln(cutoff / beta) / ln gamma) + 1
+    of them, counted before any is listed.
     """
-    if cutoff < 0:
+    if not cutoff >= 0:  # also rejects NaN
         raise ParameterError(f"cutoff must be nonnegative, got {cutoff}")
     if cutoff == 0 and spec.gamma > 0:
         raise ParameterError(
             "cutoff 0 with a positive decay factor requests a non-terminating expansion"
         )
+    if spec.gamma > 0 and spec.beta >= cutoff:
+        count = math.floor((math.log(cutoff) - math.log(spec.beta)) / math.log(spec.gamma)) + 1
+        if count > _MAX_LAG_TERMS:
+            raise ParameterError(
+                f"cutoff {cutoff} keeps about {count} lag weights, more than "
+                f"{_MAX_LAG_TERMS}; raise the cutoff"
+            )
     terms: list[tuple[int, float]] = []
-    weight = spec.beta
-    i = 1
-    while weight >= cutoff and weight > 0.0:
-        terms.append((i, weight))
-        i += 1
-        weight *= spec.gamma
+    # A subnormal weight that the product no longer shrinks ends the list too.
+    weight, previous = spec.beta, math.inf
+    while cutoff <= weight < previous and weight > 0.0:
+        terms.append((len(terms) + 1, weight))
+        weight, previous = weight * spec.gamma, weight
     return terms
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -353,14 +354,23 @@ class PopulationTrace:
       v_total  observed before and observed again now,
       b_tilde  observed now and observed again at some later step.
 
-    Sparse decompositions:
-      u_counts maps (t, i) to the number first observed at t and born at t-i;
-      v_counts maps (t, i) to the number observed at t whose previous
-      observation was at t-i; gaps aggregates those re-observation gaps i.
+    Decomposition tables, as int64 arrays:
+      u_counts rows (t, i, count): ``count`` individuals first observed at t
+               and born at t-i;
+      v_counts rows (t, i, count): ``count`` observations at t whose previous
+               observation was at t-i;
+      gaps     ``gaps[i]`` re-observations after a gap of i steps (size 0
+               when nothing was observed twice).
+    The rows of u_counts and v_counts are sorted by (t, i), with positive counts.
 
-    ``individuals`` holds one (birth, death, observation times) record per
-    individual, with death None for those still alive at the end; every
-    observation time lies in [birth, death).
+    Individuals, as columns:
+      births, deaths  one entry per individual; the individual is alive at
+                      the steps [birth, death), and a death past ``len(trace)``
+                      means it is still alive at the end;
+      obs_times, obs_owner  one entry per observation, grouped by individual,
+                      giving its step and its individual's index.
+    Every observation time lies in [birth, death) of its individual. The
+    ``individuals`` property gives the same individuals as tuples.
     """
 
     x: np.ndarray
@@ -368,15 +378,19 @@ class PopulationTrace:
     u_total: np.ndarray
     v_total: np.ndarray
     b_tilde: np.ndarray
-    u_counts: dict[tuple[int, int], int] = field(repr=False)
-    v_counts: dict[tuple[int, int], int] = field(repr=False)
-    gaps: dict[int, int] = field(repr=False)
-    individuals: tuple = field(repr=False)
+    u_counts: np.ndarray = field(repr=False)
+    v_counts: np.ndarray = field(repr=False)
+    gaps: np.ndarray = field(repr=False)
+    births: np.ndarray = field(repr=False)
+    deaths: np.ndarray = field(repr=False)
+    obs_times: np.ndarray = field(repr=False)
+    obs_owner: np.ndarray = field(repr=False)
     params: tuple[float, float, float]  # (lambda, alpha, q) that generated it
     seed: tuple[int, int]
 
     def __post_init__(self):
-        for name in ("x", "x_tilde", "u_total", "v_total", "b_tilde"):
+        for name in ("x", "x_tilde", "u_total", "v_total", "b_tilde", "u_counts", "v_counts",
+                     "gaps", "births", "deaths", "obs_times", "obs_owner"):
             arr = np.asarray(getattr(self, name), dtype=np.int64)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -384,14 +398,34 @@ class PopulationTrace:
             raise ParameterError(
                 "observed counts must split exactly into first and repeat observations"
             )
-        for birth, death, obs in self.individuals:
-            if obs and (min(obs) < birth or (death is not None and max(obs) >= death)):
-                raise ParameterError(
-                    "observation times must lie within the individual's lifetime"
-                )
+        owner, times = self.obs_owner, self.obs_times
+        grouped = owner.size == 0 or (
+            owner[0] >= 0 and owner[-1] < self.births.size and (np.diff(owner) >= 0).all()
+        )
+        if self.births.shape != self.deaths.shape or owner.shape != times.shape or not grouped:
+            raise ParameterError(
+                "observations must be grouped by individual, each owned by one of them"
+            )
+        if not ((self.births[owner] <= times) & (times < self.deaths[owner])).all():
+            raise ParameterError("observation times must lie within the individual's lifetime")
 
     def __len__(self) -> int:
         return int(self.x.size)
+
+    @cached_property
+    def individuals(self) -> tuple:
+        """One (birth, death, observation times) tuple per individual.
+
+        Death is None for an individual still alive at the end. Built from the
+        columns on first access; the program itself never reads it.
+        """
+        horizon = len(self)
+        obs = self.obs_times.tolist()
+        ends = np.cumsum(np.bincount(self.obs_owner, minlength=self.births.size)).tolist()
+        return tuple(
+            (b, d if d <= horizon else None, tuple(obs[s:e]))
+            for b, d, s, e in zip(self.births.tolist(), self.deaths.tolist(), [0, *ends], ends)
+        )
 
     def to_csv(self) -> str:
         rows = zip(*(c.tolist() for c in (self.x, self.x_tilde, self.u_total, self.v_total)))
@@ -400,11 +434,14 @@ class PopulationTrace:
         return "\n".join(lines) + "\n"
 
     def to_long_csv(self) -> str:
-        rows = [(t, i, "u", c) for (t, i), c in self.u_counts.items()]
-        rows.extend((t, i, "v", c) for (t, i), c in self.v_counts.items())
-        rows.sort()
+        rows = np.concatenate((self.u_counts, self.v_counts))
+        kind = np.repeat([0, 1], [len(self.u_counts), len(self.v_counts)])
+        order = np.lexsort((kind, rows[:, 1], rows[:, 0]))
         lines = ["t,i,kind,count"]
-        lines.extend(f"{t},{i},{kind},{c}" for t, i, kind, c in rows)
+        lines.extend(
+            f"{t},{i},{'uv'[k]},{c}"
+            for (t, i, c), k in zip(rows[order].tolist(), kind[order].tolist())
+        )
         return "\n".join(lines) + "\n"
 
 
@@ -415,10 +452,11 @@ def write_trace_csv(trace: PopulationTrace, path, long_path) -> None:
         fh.write(trace.to_long_csv())
 
 
-def _pair_counts(t: np.ndarray, i: np.ndarray, t_len: int) -> dict[tuple[int, int], int]:
-    """Tally the pairs (t[k], i[k]), each i below ``t_len``, as {(t, i): count}."""
+def _tally_pairs(t: np.ndarray, i: np.ndarray, t_len: int) -> np.ndarray:
+    """Rows (t, i, count) of the distinct pairs (t[k], i[k]), each i below ``t_len``,
+    sorted by (t, i)."""
     keys, counts = np.unique(t * t_len + i, return_counts=True)
-    return dict(zip(zip(*(k.tolist() for k in np.divmod(keys, t_len))), counts.tolist()))
+    return np.column_stack((*np.divmod(keys, t_len), counts))
 
 
 def simulate_individual_level(
@@ -436,9 +474,12 @@ def simulate_individual_level(
     makes the aggregated trace a useful cross-check for the process-level
     simulators.
 
+    The individuals come straight from the chain kernel as the trace's
+    columns: births and unclipped deaths in chain order, and the
+    observations grouped by individual and in time order. Nothing is built
+    per individual; memory still grows with lambda * t_len.
+
     Only time-homogeneous reporting is supported (``omega`` must be 1).
-    ``individuals`` keeps a record of every individual born, so memory grows
-    with lambda * t_len.
     """
     if rep.omega != 1.0:
         raise UnsupportedMechanismError(
@@ -460,14 +501,6 @@ def simulate_individual_level(
     again = np.nonzero(~first)[0]
     prev_t = obs_t[again - 1]
     gaps = obs_t[again] - prev_t
-    gap_values, gap_counts = np.unique(gaps, return_counts=True)
-
-    obs_list = obs_t.tolist()
-    ends = np.cumsum(np.bincount(obs_owner, minlength=births.size)).tolist()
-    records = tuple(
-        (b, d if d <= t_len else None, tuple(obs_list[s:e]))
-        for b, d, s, e in zip(births.tolist(), (births + lengths).tolist(), [0, *ends], ends)
-    )
 
     def per_step(t):
         return np.bincount(t, minlength=t_len)
@@ -478,10 +511,13 @@ def simulate_individual_level(
         u_total=per_step(obs_t[first]),
         v_total=per_step(obs_t[again]),
         b_tilde=per_step(prev_t),  # each predecessor has a later observation
-        u_counts=_pair_counts(obs_t[first], obs_t[first] - births[obs_owner[first]], t_len),
-        v_counts=_pair_counts(obs_t[again], gaps, t_len),
-        gaps=dict(zip(gap_values.tolist(), gap_counts.tolist())),
-        individuals=records,
+        u_counts=_tally_pairs(obs_t[first], obs_t[first] - births[obs_owner[first]], t_len),
+        v_counts=_tally_pairs(obs_t[again], gaps, t_len),
+        gaps=np.bincount(gaps),
+        births=births,
+        deaths=births + lengths,
+        obs_times=obs_t,
+        obs_owner=obs_owner,
         params=(spec.lambda_, spec.alpha, rep.q),
         seed=rng.identity,
     )

@@ -118,24 +118,12 @@ def multinomial_allocate(x: int, probs, rng: RngStream) -> list[int]:
     return [int(c) for c in counts[: len(probs)]]
 
 
-def geometric_draw(success_prob: float, rng: RngStream) -> int:
-    """Draw a geometric waiting time on support {1, 2, ...}.
+def geometric_draws(success_prob: float, size: int, rng: RngStream) -> np.ndarray:
+    """Draw ``size`` geometric waiting times on support {1, 2, ...} in one call.
 
     P(result = i) = success_prob * (1 - success_prob)**(i - 1). Sampled by
     inversion: floor(log(U) / log(1 - p)) + 1 with U uniform on (0, 1].
     """
-    if not 0.0 < success_prob <= 1.0:
-        raise ParameterError(
-            f"success probability must lie in (0, 1], got {success_prob}"
-        )
-    if success_prob == 1.0:
-        return 1
-    u = 1.0 - rng.generator.random()
-    return int(math.log(u) / math.log(1.0 - success_prob)) + 1
-
-
-def geometric_draws(success_prob: float, size: int, rng: RngStream) -> np.ndarray:
-    """Vector version of :func:`geometric_draw`; one call, ``size`` waiting times."""
     if not 0.0 < success_prob <= 1.0:
         raise ParameterError(
             f"success probability must lie in (0, 1], got {success_prob}"

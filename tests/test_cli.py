@@ -187,6 +187,16 @@ class TestExpand:
         res = run_cli("expand", spec, "--cutoff", "0")
         assert res.returncode == 2
 
+    def test_oversized_expansion_is_input_error(self, tmp_path):
+        # About 6.7e9 weights stay above this cutoff; the count is taken before
+        # any is listed, so the command fails at once without allocating them.
+        spec = write_spec(tmp_path, {"lambda": 1, "beta": 5e-8, "gamma": 0.9999999})
+        res = run_cli("expand", spec, "--cutoff", "1e-300")
+        assert res.returncode == 2
+        assert res.stderr.startswith("error:") and "lag weights" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert res.stdout == ""
+
 
 class TestCurve:
     def test_grid_rows_and_endpoints(self, tmp_path):

@@ -27,7 +27,13 @@ from inarq import (
     theoretical_observed_moments,
     total_variation,
 )
-from inarq.diagnostics import CHI2_P_FLOOR, _chi2_sf, _poisson_quantile
+from inarq.diagnostics import (
+    BATCH_COUNT,
+    CHI2_P_FLOOR,
+    _batch_stats,
+    _chi2_sf,
+    _poisson_quantile,
+)
 
 LAM, ALPHA, Q = 1.62, 0.52, 0.33
 EXAMPLE = UnderreportedModel.from_inar1(Inar1Spec(LAM, ALPHA), Q)
@@ -215,6 +221,35 @@ class TestChiSquareTail:
 
     def test_p_floor_is_two_sided_three_sigma(self):
         assert CHI2_P_FLOOR == pytest.approx(2 * sps.norm.sf(3.0), rel=1e-14)
+
+
+def loop_batch_stats(values, max_lag):
+    # Reference: one batch at a time, acf by dot products, 0 for a constant batch.
+    usable = values.size - values.size % BATCH_COUNT
+    rows = []
+    for batch in values[:usable].astype(float).reshape(BATCH_COUNT, -1):
+        centred = batch - batch.mean()
+        denom = centred @ centred
+        acf = [centred[:-k] @ centred[k:] / denom if denom > 0 else 0.0
+               for k in range(1, max_lag + 1)]
+        rows.append([batch.mean(), batch.var(ddof=1), *acf])
+    return np.array(rows)
+
+
+class TestBatchStats:
+    @pytest.mark.parametrize("kind", ["poisson", "all_zero", "near_constant", "uneven"])
+    def test_matches_per_batch_loop(self, kind):
+        g = np.random.default_rng(17)
+        values = {
+            "poisson": g.poisson(OBSERVED_MEAN, 10_000),
+            "all_zero": np.zeros(10_000, dtype=np.int64),
+            # one nonzero count in a single batch; the other 49 are constant
+            "near_constant": np.where(np.arange(10_000) == 4321, 1, 0),
+            "uneven": g.poisson(40.0, 10_037),  # remainder past the last batch is dropped
+        }[kind]
+        got, want = _batch_stats(values, 5), loop_batch_stats(values, 5)
+        assert got.shape == (BATCH_COUNT, 7)
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
 
 
 class TestEquivalenceMcTest:

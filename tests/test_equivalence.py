@@ -228,6 +228,20 @@ class TestExpandLags:
         with pytest.raises(ParameterError):
             expand_lags(GeomInarSpec(1.0, 0.2, 0.5), 0.0)
 
+    @pytest.mark.parametrize("cutoff", [-0.1, math.nan])
+    def test_invalid_cutoff_rejected(self, cutoff):
+        with pytest.raises(ParameterError, match="nonnegative"):
+            expand_lags(GeomInarSpec(1.0, 0.2, 0.5), cutoff)
+
+    def test_subnormal_cutoff_terminates(self):
+        # 0.6 times the smallest subnormal rounds back to it, so the product
+        # stops shrinking above this cutoff; the list still ends there.
+        terms = expand_lags(GeomInarSpec(1.0, 0.3, 0.6), 5e-324)
+        weights = [w for _, w in terms]
+        assert [i for i, _ in terms] == list(range(1, len(terms) + 1))
+        assert all(a > b for a, b in zip(weights, weights[1:]))
+        assert weights[-1] == 5e-324
+
     def test_total_weight_matches_geometric_series(self):
         spec = GeomInarSpec(1.0, 0.1716, 0.3484)
         terms = expand_lags(spec, 1e-9)

@@ -14,6 +14,7 @@ from inarq import (
     RngStream,
     UnsupportedMechanismError,
     apply_reporting,
+    individual_level_checks,
     simulate_inar1,
     simulate_inar_inf,
     simulate_inar_p,
@@ -26,6 +27,7 @@ from inarq.processes import (
     _run_chains,
     _unit_gaps,
     write_series_csv,
+    write_trace_csv,
 )
 from inarq.sampling import geometric_draws
 
@@ -355,7 +357,7 @@ class TestIndividualLevel:
     def test_first_observation_age_one_rate(self, trace):
         # survive once, stay unobserved once, then be observed
         target = ALPHA * (1 - Q) * Q * LAM  # 0.18625...
-        count = sum(c for (t, age), c in trace.u_counts.items() if age == 1)
+        count = trace.u_counts[trace.u_counts[:, 1] == 1, 2].sum()
         rate = count / len(trace)
         assert abs(rate - target) <= 3 * math.sqrt(target / len(trace))
 
@@ -366,13 +368,13 @@ class TestIndividualLevel:
         t = simulate_individual_level(
             Inar1Spec(LAM, ALPHA), ReportingSpec(q=1.0), 3_000, RngStream(5)
         )
-        assert set(t.gaps) == {1}
+        assert np.flatnonzero(t.gaps).tolist() == [1]
 
     def test_no_survival_means_no_reobservation(self):
         t = simulate_individual_level(
             Inar1Spec(LAM, 0.0), ReportingSpec(q=Q), 3_000, RngStream(5)
         )
-        assert t.gaps == {}
+        assert t.gaps.size == 0
         assert (t.v_total == 0).all()
 
     def test_trace_csv_shapes(self, trace):
@@ -396,35 +398,41 @@ class TestIndividualLevel:
 class TestTracePathwiseIdentities:
     def test_decompositions_sum_to_totals(self, trace):
         for table, total in ((trace.u_counts, trace.u_total), (trace.v_counts, trace.v_total)):
+            t, i, c = table.T
+            keys = t * len(trace) + i
+            assert (np.diff(keys) > 0).all() and (c > 0).all()  # sorted by (t, i), positive
             per_t = np.zeros(len(trace), dtype=np.int64)
-            for (t, _), c in table.items():
-                per_t[t] += c
+            np.add.at(per_t, t, c)
             assert np.array_equal(per_t, total)
 
     def test_gaps_are_the_gap_marginal_of_reobservations(self, trace):
-        marginal = {}
-        for (_, i), c in trace.v_counts.items():
-            marginal[i] = marginal.get(i, 0) + c
-        assert marginal == trace.gaps
+        _, i, c = trace.v_counts.T
+        marginal = np.zeros(trace.gaps.size, dtype=np.int64)
+        np.add.at(marginal, i, c)
+        assert np.array_equal(marginal, trace.gaps)
+        assert trace.gaps[0] == 0 and trace.gaps[-1] > 0
 
     def test_predecessor_counts_match_reobservations(self, trace):
+        t, i, c = trace.v_counts.T
         per_s = np.zeros(len(trace), dtype=np.int64)
-        for (t, i), c in trace.v_counts.items():
-            per_s[t - i] += c
+        np.add.at(per_s, t - i, c)
         assert np.array_equal(per_s, trace.b_tilde)
 
     def test_individuals_add_up_to_counts(self, trace):
         t_len = len(trace)
-        births = np.array([b for b, _, _ in trace.individuals])
-        ends = np.array([t_len if d is None else d for _, d, _ in trace.individuals])
-        assert (births < ends).all() and (ends <= t_len).all()
+        births, deaths = trace.births, trace.deaths
+        ends = np.minimum(deaths, t_len)
+        assert (births < ends).all() and (births >= 0).all()
         # alive steps [birth, end) clipped to the horizon, tallied per step
         alive = np.cumsum(np.bincount(births, minlength=t_len + 1)
                           - np.bincount(ends, minlength=t_len + 1))[:t_len]
         assert np.array_equal(alive, trace.x)
         assert alive.sum() == trace.x.sum() == (ends - births).sum()
-        observed = np.concatenate([obs for _, _, obs in trace.individuals]).astype(np.int64)
-        assert np.array_equal(np.bincount(observed, minlength=t_len), trace.x_tilde)
+        assert np.array_equal(np.bincount(trace.obs_times, minlength=t_len), trace.x_tilde)
+        # grouped by individual, in time order within each
+        owner, times = trace.obs_owner, trace.obs_times
+        assert (np.diff(owner) >= 0).all()
+        assert (np.diff(times)[owner[1:] == owner[:-1]] > 0).all()
 
     def test_death_unknown_exactly_when_lifetime_passes_horizon(self, trace):
         t_len = len(trace)
@@ -432,34 +440,79 @@ class TestTracePathwiseIdentities:
         # observation draw, so replaying the kernel on the same stream recovers
         # every individual's birth and lifetime, in record order.
         blocks = list(_chain_blocks(LAM, ALPHA, _unit_gaps, t_len, RngStream(121)))
-        births = np.concatenate([b for _, b, _, _ in blocks]).tolist()
-        lifetimes = np.concatenate([n for _, _, n, _ in blocks]).tolist()
-        assert [b for b, _, _ in trace.individuals] == births
-        for (_, death, _), birth, life in zip(trace.individuals, births, lifetimes):
-            assert (death is None) == (birth + life > t_len)
-            assert death is None or death == birth + life
+        births = np.concatenate([b for _, b, _, _ in blocks])
+        lifetimes = np.concatenate([n for _, _, n, _ in blocks])
+        assert np.array_equal(trace.births, births)
+        assert np.array_equal(trace.deaths, births + lifetimes)  # never clipped
+        assert (trace.deaths > t_len).any()
         # alive at the last step = still alive after it, or dying right at the horizon
-        at_end = sum(1 for _, d, _ in trace.individuals if d is None or d == t_len)
-        assert at_end == trace.x[-1]
+        assert (trace.deaths >= t_len).sum() == trace.x[-1]
+
+    def test_long_csv_lists_both_tables(self, trace):
+        lines = trace.to_long_csv().splitlines()
+        assert lines[0] == "t,i,kind,count"
+        rows = [line.split(",") for line in lines[1:]]
+        keys = [(int(t), int(i), kind) for t, i, kind, _ in rows]
+        assert keys == sorted(keys)
+        for kind, table in (("u", trace.u_counts), ("v", trace.v_counts)):
+            listed = [[int(t), int(i), int(c)] for t, i, k, c in rows if k == kind]
+            assert listed == table.tolist()
+
+
+class TestIndividualsView:
+    @staticmethod
+    def small():
+        return simulate_individual_level(
+            Inar1Spec(LAM, ALPHA), ReportingSpec(q=Q), 2_000, RngStream(171)
+        )
+
+    def test_checks_and_csv_build_no_individual_records(self, tmp_path):
+        t = self.small()
+        individual_level_checks(t, Inar1Spec(LAM, ALPHA), Q)
+        t.to_csv()
+        t.to_long_csv()
+        write_trace_csv(t, tmp_path / "trace.csv", tmp_path / "trace_long.csv")
+        assert "individuals" not in vars(t)
+
+    def test_records_agree_with_columns(self):
+        t = self.small()
+        records = t.individuals
+        assert len(records) == t.births.size
+        assert [b for b, _, _ in records] == t.births.tolist()
+        alive_at_end = t.deaths > len(t)
+        assert alive_at_end.any() and not alive_at_end.all()
+        assert [d is None for _, d, _ in records] == alive_at_end.tolist()
+        assert [d for _, d, _ in records if d is not None] == t.deaths[~alive_at_end].tolist()
+        assert [len(obs) for _, _, obs in records] == np.bincount(
+            t.obs_owner, minlength=t.births.size).tolist()
+        assert [o for _, _, obs in records for o in obs] == t.obs_times.tolist()
 
 
 class TestPopulationTraceLifetimes:
     @staticmethod
-    def make(individuals):
+    def make(births, deaths, obs_times, obs_owner):
         zeros = np.zeros(4, dtype=np.int64)
+        no_rows = np.zeros((0, 3), dtype=np.int64)
         return PopulationTrace(
             x=zeros, x_tilde=zeros, u_total=zeros, v_total=zeros, b_tilde=zeros,
-            u_counts={}, v_counts={}, gaps={}, individuals=individuals,
-            params=(LAM, ALPHA, Q), seed=(0, 0),
+            u_counts=no_rows, v_counts=no_rows, gaps=[], births=births, deaths=deaths,
+            obs_times=obs_times, obs_owner=obs_owner, params=(LAM, ALPHA, Q), seed=(0, 0),
         )
 
     def test_observations_inside_lifetimes_accepted(self):
-        self.make(((0, 2, (0, 1)), (1, None, (3, 1)), (2, 3, ())))
+        # the second individual outlives the horizon of 4 steps; the third is never seen
+        self.make([0, 1, 2], [2, 6, 3], [0, 1, 3, 1], [0, 0, 1, 1])
 
     def test_observation_before_birth_rejected(self):
         with pytest.raises(ParameterError):
-            self.make(((0, 2, (0,)), (2, None, (3, 1))))
+            self.make([0, 2], [2, 6], [0, 3, 1], [0, 1, 1])
 
     def test_observation_at_death_rejected(self):
         with pytest.raises(ParameterError):
-            self.make(((0, 2, (0,)), (1, 3, (1, 3))))
+            self.make([0, 1], [2, 3], [0, 1, 3], [0, 1, 1])
+
+    @pytest.mark.parametrize("owner", [[1, 0, 1], [0, 1, 2], [-1, 0, 0], [0, 1]],
+                             ids=["ungrouped", "past_last", "negative", "short"])
+    def test_observation_owners_must_be_grouped_indices(self, owner):
+        with pytest.raises(ParameterError):
+            self.make([0, 1], [3, 3], [1, 1, 2], owner)

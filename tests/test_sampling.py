@@ -10,7 +10,6 @@ from inarq import (
     ParameterError,
     RngStream,
     binomial_thin,
-    geometric_draw,
     geometric_draws,
     multinomial_allocate,
     poisson_draw,
@@ -143,18 +142,18 @@ class TestMultinomialAllocate:
 
 class TestGeometricDraw:
     def test_certain_success(self):
-        assert geometric_draw(1.0, RngStream(1)) == 1
+        assert (geometric_draws(1.0, 5, RngStream(1)) == 1).all()
 
     @pytest.mark.parametrize("p", [0.0, -0.2, 1.5])
     def test_domain_errors(self, p):
         with pytest.raises(ParameterError):
-            geometric_draw(p, RngStream(1))
+            geometric_draws(p, 5, RngStream(1))
 
     def test_mean(self, reseed_once):
         # 0.6516 is the renewal probability of the worked example; mean 1/p.
         def check(seed):
             rng = RngStream(seed)
-            draws = np.array([geometric_draw(0.6516, rng) for _ in range(N_REPLICATES)])
+            draws = geometric_draws(0.6516, N_REPLICATES, rng)
             p = 0.6516
             se = math.sqrt((1 - p) / p**2 / N_REPLICATES)
             assert abs(draws.mean() - 1 / p) <= 3 * se
@@ -165,7 +164,7 @@ class TestGeometricDraw:
     def test_pmf_head(self, reseed_once):
         def check(seed):
             rng = RngStream(seed)
-            draws = np.array([geometric_draw(0.5, rng) for _ in range(N_REPLICATES)])
+            draws = geometric_draws(0.5, N_REPLICATES, rng)
             for i, target in [(1, 0.5), (2, 0.25), (3, 0.125)]:
                 freq = np.mean(draws == i)
                 se = math.sqrt(target * (1 - target) / N_REPLICATES)
@@ -188,7 +187,7 @@ class TestDeterminism:
         return (
             binomial_thin(50, 0.3, rng),
             poisson_draw(2.5, rng),
-            geometric_draw(0.4, rng),
+            tuple(geometric_draws(0.4, 1, rng)),
             tuple(multinomial_allocate(10, [0.2, 0.3], rng)),
             tuple(geometric_draws(0.7, 5, rng)),
         )
@@ -233,4 +232,4 @@ def test_allocation_never_exceeds_count(x, probs, seed):
 
 @given(p=st.floats(0.01, 1.0), seed=st.integers(0, 2**32))
 def test_geometric_support_starts_at_one(p, seed):
-    assert geometric_draw(p, RngStream(seed)) >= 1
+    assert (geometric_draws(p, 16, RngStream(seed)) >= 1).all()
