@@ -48,7 +48,10 @@ def _require_number(doc: dict, key: str, where: str) -> float:
     value = doc[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParameterError(f"{where} field '{key}' must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ParameterError(f"{where} field '{key}' is too large for a float") from exc
 
 
 def load_model_file(path: str) -> tuple[UnderreportedModel, ReportingSpec, str]:
@@ -63,7 +66,7 @@ def load_model_file(path: str) -> tuple[UnderreportedModel, ReportingSpec, str]:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, or nested too deep
         raise ParameterError(f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParameterError(f"model spec {path} must be a JSON object")
@@ -125,13 +128,9 @@ def cmd_simulate(args) -> int:
     stream = RngStream(args.seed)
     if kind == "inar1":
         spec = Inar1Spec(model.latent.lambda_, model.latent.beta)
-        latent = simulate_inar1(
-            spec, args.t, stream.substream(0), burn_in=args.burn_in or 0
-        )
+        latent = simulate_inar1(spec, args.t, stream.substream(0), burn_in=args.burn_in)
     else:
-        latent = simulate_inar_inf(
-            model.latent, args.t, stream.substream(0), burn_in=args.burn_in
-        )
+        latent = simulate_inar_inf(model.latent, args.t, stream.substream(0), burn_in=args.burn_in)
     observed = apply_reporting(latent, reporting, stream.substream(1))
     write_series_csv(observed, args.out)
 
@@ -249,7 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="simulate a model spec and write the series as CSV")
     p.add_argument("spec", help="model spec JSON file")
     p.add_argument("--t", type=int, required=True, help="number of retained steps")
-    p.add_argument("--burn-in", type=int, default=None, help="steps to discard (default: per-process choice)")
+    p.add_argument("--burn-in", type=int, default=0,
+                   help="extra steps to simulate and discard (default 0); the simulation "
+                        "already starts exactly stationary")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_simulate)
@@ -267,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("curve", help="tabulate the equivalence class over reporting probabilities")
     p.add_argument("spec")
-    p.add_argument("--grid", type=int, default=68, help="number of grid points (at least 2)")
+    p.add_argument("--grid", type=int, default=68, help="number of grid points (2 to 10**6)")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_curve)
 

@@ -182,7 +182,7 @@ def joint_pmf_oracle(
             "the enumeration oracle requires a first-order latent process (gamma = 0)"
         )
     lam, alpha, q = latent.lambda_, latent.beta, model.q
-    mu = lam / (1.0 - alpha) if alpha > 0 else lam
+    mu = lam / (1.0 - alpha)
     if truncation is None:
         truncation = _poisson_quantile(mu, 1e-13) + 15
     if support_cap is None:
@@ -552,9 +552,11 @@ def individual_level_checks(
     decay = alpha * (1.0 - q)  # survival while staying unobserved
     lam_first = q * lam / (1.0 - decay)
     beta_obs = alpha * q
-    warmup = _settle_window(decay, t_len)
+    # Steps for the empty start to settle, and for later observations past the
+    # horizon to stop censoring the re-observation fraction at the end.
+    settle = _settle_window(decay, t_len)
 
-    checks = [_mean_check("first_obs_mean", trace.u_total[warmup:].astype(float), lam_first)]
+    checks = [_mean_check("first_obs_mean", trace.u_total[settle:].astype(float), lam_first)]
 
     rate_detail = {}
     rate_results = []
@@ -562,7 +564,7 @@ def individual_level_checks(
     for i in range(6):
         at_age = age == i
         per_t = np.bincount(first_t[at_age], weights=count[at_age], minlength=t_len)
-        start = max(warmup, i)
+        start = max(settle, i)
         result = _mean_check(f"age_{i}", per_t[start:], q * lam * decay**i)
         rate_results.append(result)
         rate_detail[str(i)] = {
@@ -576,11 +578,9 @@ def individual_level_checks(
 
     checks.append(_geometric_chi_square(trace.gaps, 1.0 - decay))
 
-    # Re-observation fraction; drop the censored tail where later observations
-    # would fall beyond the simulated horizon.
-    tail = _settle_window(decay, t_len)
-    x_obs = trace.x_tilde[: t_len - tail].astype(np.float64)
-    seen_again = trace.b_tilde[: t_len - tail].astype(np.float64)
+    # Re-observation fraction, without the censored tail.
+    x_obs = trace.x_tilde[: t_len - settle].astype(np.float64)
+    seen_again = trace.b_tilde[: t_len - settle].astype(np.float64)
     target_frac = beta_obs / (1.0 - decay)
     if x_obs.sum() == 0:
         checks.append(CheckResult("reobservation_fraction", target_frac, None, None, None, True,

@@ -21,8 +21,8 @@ from .processes import GeomInarSpec, Inar1Spec
 # Rounding guard for boundary arithmetic: values this close to 0 are clamped.
 _BOUNDARY_EPS = 1e-12
 
-# Most lag weights expand_lags lists; a cutoff that keeps more is rejected.
-_MAX_LAG_TERMS = 10**6
+# Most rows expand_lags or equivalence_curve produces; a request for more is rejected.
+_MAX_ROWS = 10**6
 
 
 @dataclass(frozen=True)
@@ -183,7 +183,7 @@ def expand_lags(spec: GeomInarSpec, cutoff: float) -> list[tuple[int, float]]:
 
     Weights equal to zero are never emitted. A cutoff of 0 with gamma > 0 is
     rejected, as the expansion would not terminate, and so is one that keeps
-    more than ``_MAX_LAG_TERMS`` weights: floor(ln(cutoff / beta) / ln gamma) + 1
+    more than ``_MAX_ROWS`` weights: floor(ln(cutoff / beta) / ln gamma) + 1
     of them, counted before any is listed.
     """
     if not cutoff >= 0:  # also rejects NaN
@@ -194,10 +194,10 @@ def expand_lags(spec: GeomInarSpec, cutoff: float) -> list[tuple[int, float]]:
         )
     if spec.gamma > 0 and spec.beta >= cutoff:
         count = math.floor((math.log(cutoff) - math.log(spec.beta)) / math.log(spec.gamma)) + 1
-        if count > _MAX_LAG_TERMS:
+        if count > _MAX_ROWS:
             raise ParameterError(
                 f"cutoff {cutoff} keeps about {count} lag weights, more than "
-                f"{_MAX_LAG_TERMS}; raise the cutoff"
+                f"{_MAX_ROWS}; raise the cutoff"
             )
     terms: list[tuple[int, float]] = []
     # A subnormal weight that the product no longer shrinks ends the list too.
@@ -218,12 +218,13 @@ class CurvePoint(NamedTuple):
 def equivalence_curve(model: UnderreportedModel, grid_size: int) -> list[CurvePoint]:
     """Trace the equivalence class over an even grid of reporting probabilities.
 
-    Evaluates :func:`shift_reporting` on ``grid_size`` points spanning the
-    admissible interval inclusively; the first row reproduces the canonical
-    lower endpoint and the last the fully observed representation.
+    Evaluates :func:`shift_reporting` on ``grid_size`` points (2 to
+    ``_MAX_ROWS``) spanning the admissible interval inclusively; the first row
+    reproduces the canonical lower endpoint and the last the fully observed
+    representation.
     """
-    if grid_size < 2:
-        raise ParameterError(f"grid size must be at least 2, got {grid_size}")
+    if not 2 <= grid_size <= _MAX_ROWS:
+        raise ParameterError(f"grid size must lie in [2, {_MAX_ROWS}], got {grid_size}")
     lower, upper = admissible_reporting_interval(model)
     if lower == 0.0:
         raise DegenerateClassError(

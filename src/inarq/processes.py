@@ -11,18 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from .errors import ParameterError, UnsupportedMechanismError
-from .sampling import (  # noqa: F401  (perfbench/tracer.py wraps the scalar draws here)
-    RngStream,
-    binomial_thin,
-    geometric_draws,
-    multinomial_allocate,
-    poisson_draw,
-)
+from .sampling import RngStream, geometric_draws
+# Unused here, but perfbench/tracer.py wraps these scalar draws by name in this module.
+from .sampling import binomial_thin, multinomial_allocate, poisson_draw  # noqa: F401
 
 
 # Largest rate numpy's Poisson sampler accepts (its POISSON_LAM_MAX).
@@ -172,42 +168,45 @@ def write_series_csv(series: CountSeries, path) -> None:
             fh.write("".join(f"{t},{c}\n" for t, c in enumerate(chunk, start)))
 
 
-def _default_burn_in(total_weight: float) -> int:
-    # Scales with the mean-recursion mixing time; floor of 500 steps.
-    return max(500, math.ceil(50.0 / (1.0 - total_weight)))
-
-
 # Expected appearances per block of steps: bounds the kernel's working arrays.
 _BLOCK_APPEARANCES = 1 << 15
+_NO_CHAINS = np.zeros(0, dtype=np.int64)  # no chains under way at step 0
 
 
 def _unit_gaps(k: int) -> np.ndarray:
     return np.ones(k, dtype=np.int64)
 
 
-def _chain_blocks(
-    lam: float, rho: float, gap_draw, steps: int, rng: RngStream, initial: int = 0
-):
+def _lag_draw(weights, rng: RngStream):
+    """Draws on {1, ..., len(weights)} with probabilities proportional to ``weights``."""
+    w = np.asarray(weights, dtype=np.float64)
+    probs = w / w.sum() if w.sum() > 0 else None
+    return lambda k: rng.generator.choice(w.size, k, p=probs) + 1
+
+
+def _chain_blocks(lam: float, rho: float, gap_draw, steps: int, rng: RngStream,
+                  under_way=_NO_CHAINS):
     """Lay out immigrant chains over ``steps`` steps, one block at a time.
 
-    Each step Poisson(lam) immigrants arrive (plus ``initial`` at step 0).
-    Each makes a chain of Geom(1 - rho) appearances: the first at its arrival
-    step, the next ones after gaps drawn by ``gap_draw(k)`` (k gaps, each
-    >= 1). Immigrants are drawn in blocks of about ``_BLOCK_APPEARANCES``
-    expected appearances, each block's chains laid out whole, so appearance
-    times may run past the block and past the horizon. Yields, per block, its
-    first step, the chains' arrival steps and lengths, and every appearance
-    time, all in chain order.
+    Each step Poisson(lam) immigrants arrive, and the chains under way at
+    step 0 arrive in the first block, at the steps ``under_way``. Each makes
+    Geom(1 - rho) appearances: the first at its arrival step, the next ones
+    after gaps drawn by ``gap_draw(k)`` (k gaps, each >= 1). Immigrants are
+    drawn in blocks of about ``_BLOCK_APPEARANCES`` expected appearances, each
+    block's chains laid out whole, so appearance times may run past the block
+    and past the horizon. Yields, per block, its first step, the chains'
+    arrival steps and lengths, and every appearance time, all in chain order.
     """
     block = int(min(steps, max(1.0, _BLOCK_APPEARANCES * (1.0 - rho) / lam)))
     for t0 in range(0, steps, block):
         width = min(block, steps - t0)
         starts = rng.generator.poisson(lam, width)
-        starts[0] += initial if t0 == 0 else 0
-        n = int(starts.sum())
+        arrivals = times = np.repeat(np.arange(t0, t0 + width), starts)
+        if t0 == 0:
+            arrivals = times = np.concatenate((under_way, arrivals))
+        n = arrivals.size
         lengths = geometric_draws(1.0 - rho, n, rng)
         total = int(lengths.sum())
-        arrivals = times = np.repeat(np.arange(t0, t0 + width), starts)
         if total > n:
             # Segmented cumsum: each chain's first slot holds a zero gap, so
             # the running sum less its value there is the chain's elapsed time.
@@ -222,7 +221,7 @@ def _chain_blocks(
 
 
 def _run_chains(
-    lam: float, rho: float, gap_draw, steps: int, rng: RngStream, initial: int = 0
+    lam: float, rho: float, gap_draw, steps: int, rng: RngStream, under_way=_NO_CHAINS
 ) -> tuple[np.ndarray, dict[str, int]]:
     """Counts of an immigrant-chain process over ``steps`` steps.
 
@@ -233,7 +232,7 @@ def _run_chains(
     """
     out = np.zeros(steps, dtype=np.int64)
     chains = appearances = 0
-    for t0, arrivals, _, times in _chain_blocks(lam, rho, gap_draw, steps, rng, initial):
+    for t0, arrivals, _, times in _chain_blocks(lam, rho, gap_draw, steps, rng, under_way):
         chains += arrivals.size
         appearances += times.size
         counts = np.bincount(times[times < steps] - t0)
@@ -242,14 +241,20 @@ def _run_chains(
     return out, {"chains": chains, "appearances": appearances, "beyond": beyond}
 
 
-def _chain_series(lam, rho, gap_draw, t_len, burn_in, rng, model_tag, initial_mean=0.0):
-    """Run the chain kernel for ``burn_in + t_len`` steps; keep the last ``t_len``."""
+def _chain_series(lam, rho, reach, gap_draw, residual_draw, t_len, burn_in, rng, model_tag):
+    """Run the chain kernel from its stationary state; keep the last ``t_len`` steps.
+
+    The chains under way at step 0 are a Poisson colouring of past immigrants:
+    Poisson(lam * reach / (1 - rho)) of them, ``reach`` = rho * E[G] for a gap
+    G. Each next appears at step R - 1, P(R = r) = P(G >= r) / E[G], drawn by
+    ``residual_draw(k)``, and then makes Geom(1 - rho) appearances.
+    """
     if t_len < 1:
         raise ParameterError(f"series length must be at least 1, got {t_len}")
     if burn_in < 0:
         raise ParameterError(f"burn-in must be nonnegative, got {burn_in}")
-    initial = poisson_draw(initial_mean, rng)
-    out, _ = _run_chains(lam, rho, gap_draw, burn_in + t_len, rng, initial)
+    under_way = residual_draw(rng.generator.poisson(lam / (1.0 - rho) * reach)) - 1
+    out, _ = _run_chains(lam, rho, gap_draw, burn_in + t_len, rng, under_way)
     return CountSeries(out[burn_in:], rng.identity, burn_in, model_tag)
 
 
@@ -259,22 +264,18 @@ def simulate_inar1(
     """Simulate the first-order process as immigrant chains.
 
     Poisson(lambda) immigrants per step, each present for Geom(1 - alpha)
-    consecutive steps (every gap is 1). The start is exactly stationary:
-    Poisson(lambda * alpha / (1 - alpha)) chains are already under way at
-    step 0, with Geom(1 - alpha) remaining lengths by memorylessness, so the
-    step-0 count is Poisson(lambda / (1 - alpha)). No burn-in is needed;
-    ``burn_in`` extra steps are still simulated and discarded if requested.
-    Returns the last ``t_len`` (at least 1) steps.
+    consecutive steps (every gap is 1). It starts exactly stationary, with
+    Poisson(lambda * alpha / (1 - alpha)) chains under way at step 0, and
+    ``burn_in`` extra steps are discarded. Returns the last ``t_len`` steps.
     """
     return _chain_series(
-        spec.lambda_, spec.alpha, _unit_gaps, t_len, burn_in,
+        spec.lambda_, spec.alpha, spec.alpha, _unit_gaps, _unit_gaps, t_len, burn_in,
         rng, f"inar1(lambda={spec.lambda_},alpha={spec.alpha})",
-        initial_mean=spec.stationary_mean * spec.alpha,
     )
 
 
 def simulate_inar_p(
-    spec: InarPSpec, t_len: int, rng: RngStream, burn_in: int | None = None
+    spec: InarPSpec, t_len: int, rng: RngStream, burn_in: int = 0
 ) -> CountSeries:
     """Simulate the order-p process as immigrant chains.
 
@@ -283,34 +284,33 @@ def simulate_inar_p(
     weights. An appearance at t thus has a successor at t + i with
     probability alpha_i, so the lag-i contribution is marginally
     Binomial(X_t, alpha_i) and the contributions never exceed X_t in total.
-    History before the start is empty; ``burn_in`` steps (default scales
-    with mixing time) are discarded.
+    It starts exactly stationary: a chain under way at step 0 next appears at
+    step r - 1 with weight alpha_r + ... + alpha_p. ``burn_in`` steps are discarded.
     """
-    total = spec.total_weight
-    lag_probs = np.array(spec.alphas) / total if total > 0 else None
+    tail = np.cumsum(spec.alphas[::-1])[::-1]
     return _chain_series(
-        spec.lambda_, total, lambda k: rng.generator.choice(len(spec.alphas), k, p=lag_probs) + 1,
-        t_len, _default_burn_in(total) if burn_in is None else burn_in, rng,
+        spec.lambda_, spec.total_weight, float(tail.sum()), _lag_draw(spec.alphas, rng),
+        _lag_draw(tail, rng), t_len, burn_in, rng,
         f"inar_p(lambda={spec.lambda_},alphas={list(spec.alphas)})",
     )
 
 
 def simulate_inar_inf(
-    spec: GeomInarSpec, t_len: int, rng: RngStream, burn_in: int | None = None
+    spec: GeomInarSpec, t_len: int, rng: RngStream, burn_in: int = 0
 ) -> CountSeries:
     """Simulate the geometric-lag infinite-order process as immigrant chains.
 
     Poisson(lambda) immigrants per step, each appearing
     Geom(1 - beta/(1-gamma)) times, with Geom(1 - gamma) gaps on {1, 2, ...}.
     An appearance at t thus has a successor at t + i with probability
-    beta * gamma**(i-1), the lag-i weight. Gaps are never truncated. History
-    before the start is empty; ``burn_in`` steps (default
-    max(500, ceil(50/(1-beta-gamma)))) are discarded.
+    beta * gamma**(i-1), the lag-i weight. Gaps are never truncated. It starts
+    exactly stationary: gaps are memoryless, so a chain under way at step 0
+    next appears at step Geom(1 - gamma) - 1. ``burn_in`` steps are discarded.
     """
+    gaps = partial(geometric_draws, 1.0 - spec.gamma, rng=rng)
     return _chain_series(
-        spec.lambda_, spec.total_weight,
-        lambda k: geometric_draws(1.0 - spec.gamma, k, rng), t_len,
-        _default_burn_in(spec.beta + spec.gamma) if burn_in is None else burn_in, rng,
+        spec.lambda_, spec.total_weight, spec.total_weight / (1.0 - spec.gamma), gaps, gaps,
+        t_len, burn_in, rng,
         f"geom_inf(lambda={spec.lambda_},beta={spec.beta},gamma={spec.gamma})",
     )
 

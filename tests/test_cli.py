@@ -76,6 +76,16 @@ class TestSimulate:
         res = run_cli("simulate", str(path), "--t", "10", "--out", str(tmp_path / "x.csv"))
         assert res.returncode == 2
         assert "JSON" in res.stderr
+        # an integer too large for a float, bytes that are not UTF-8, nesting too deep
+        for doc in (
+            b'{"latent": {"kind": "inar1", "lambda": 1' + b"0" * 400 + b', "alpha": 0.5}}',
+            b'{"latent": {"kind": "inar1", "lambda": 1.0, "alpha": 0.5, "x": "\xe9"}}',
+            b"[" * 100_000 + b"]" * 100_000,
+        ):
+            path.write_bytes(doc)
+            res = run_cli("simulate", str(path), "--t", "10", "--out", str(tmp_path / "x.csv"))
+            assert res.returncode == 2, res.stderr[-300:]
+            assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
 
     def test_invariant_violation_names_parameter(self, tmp_path):
         bad = {"latent": {"kind": "inar1", "lambda": 1.0, "alpha": 1.2}}
@@ -217,6 +227,13 @@ class TestCurve:
         spec = write_spec(tmp_path, EXAMPLE_SPEC)
         res = run_cli("curve", spec, "--grid", "1", "--out", str(tmp_path / "c.csv"))
         assert res.returncode == 2
+
+    def test_grid_too_large_rejected_before_allocating(self, tmp_path):
+        spec = write_spec(tmp_path, EXAMPLE_SPEC)
+        res = run_cli("curve", spec, "--grid", "100000000000", "--out", str(tmp_path / "c.csv"))
+        assert res.returncode == 2
+        assert res.stderr.startswith("error:") and "grid size" in res.stderr
+        assert not (tmp_path / "c.csv").exists()
 
 
 class TestCheck:

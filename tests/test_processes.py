@@ -292,6 +292,47 @@ class TestChainKernel:
         reseed_once(check, 161, 162)
 
 
+class TestStationaryStart:
+    """Every series simulator starts in its stationary law, with no burn-in."""
+
+    REPLICATES, BATCHES = 3_000, 20
+
+    @pytest.mark.parametrize(
+        "simulate, weights, mean, seeds",
+        [
+            (lambda r: simulate_inar1(Inar1Spec(LAM, ALPHA), 4, r), [ALPHA], STATIONARY_MEAN,
+             (181, 182)),
+            (lambda r: simulate_inar_p(InarPSpec(LAM, (0.3, 0.15, 0.07)), 4, r),
+             [0.3, 0.15, 0.07], LAM / 0.48, (191, 192)),
+            (lambda r: simulate_inar_inf(GeomInarSpec(20.0, 0.3, 0.4), 4, r),
+             [0.3 * 0.4 ** (i - 1) for i in range(1, 4)], 20.0 * 0.6 / 0.3, (201, 202)),
+        ],
+        ids=["inar1", "inar_p", "geom_inf"],
+    )
+    def test_first_steps_have_the_stationary_law(self, reseed_once, simulate, weights, mean,
+                                                   seeds):
+        n = self.REPLICATES
+
+        def corr(a, b):
+            return np.corrcoef(a, b)[0, 1]
+
+        def check(seed):
+            series = [simulate(RngStream(seed, i)) for i in range(n)]
+            assert {s.burn_in for s in series} == {0}
+            x = np.array([s.values for s in series], dtype=float)
+            assert abs(x[:, 0].mean() - mean) <= 3 * math.sqrt(mean / n)
+            # The marginal is Poisson: its variance is its mean, and the sample
+            # variance has variance (mean + 2 mean**2) / n.
+            assert abs(x[:, 0].var(ddof=1) - mean) <= 3 * math.sqrt((mean + 2 * mean**2) / n)
+            batches = x.reshape(self.BATCHES, -1, x.shape[1])
+            for k, target in enumerate(renewal_acf(weights, 3), start=1):
+                per_batch = [corr(b[:, 0], b[:, k]) for b in batches]
+                se = np.std(per_batch, ddof=1) / math.sqrt(self.BATCHES)
+                assert abs(corr(x[:, 0], x[:, k]) - target) <= 3 * se, k
+
+        reseed_once(check, *seeds)
+
+
 class TestApplyReporting:
     def test_full_reporting_is_identity(self):
         s = simulate_inar1(Inar1Spec(LAM, ALPHA), 1_000, RngStream(1))
