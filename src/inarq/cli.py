@@ -142,7 +142,7 @@ def cmd_simulate(args) -> int:
         "variance": _f(variance),
         "acf_1": _f(_acf(vals, 1)[0]) if variance > 0.0 else None,
         "n": len(observed),
-    }))
+    }, allow_nan=False))
     return 0
 
 
@@ -181,7 +181,7 @@ def cmd_transform(args) -> int:
         }
     else:
         raise ParameterError(f"--to must be 'inf', 'canonical' or 'q=VALUE', got {target!r}")
-    print(json.dumps(out, indent=2))
+    print(json.dumps(out, indent=2, allow_nan=False))
     return 0
 
 
@@ -203,7 +203,7 @@ def cmd_curve(args) -> int:
         "rows": len(points),
         "q_lower": _f(points[0].q_y),
         "q_upper": _f(points[-1].q_y),
-    }))
+    }, allow_nan=False))
     return 0
 
 

@@ -149,27 +149,67 @@ class CountSeries:
         return int(self.values.size)
 
     def to_csv(self) -> str:
-        lines = ["t,count"]
-        lines.extend(f"{t},{c}" for t, c in enumerate(self.values.tolist()))
-        return "\n".join(lines) + "\n"
+        return _series_csv(self).decode("ascii")
 
 
-# Rows formatted per write in write_series_csv; bounds the string built at once.
+# Rows rendered at once by _csv_rows; bounds its working arrays.
 _CSV_CHUNK_ROWS = 1 << 16
 
 
+def _csv_rows(header: bytes, columns) -> bytes:
+    """``header``, then the CSV rows of equal-length columns: fields joined by
+    "," and every row ended by "\n".
+
+    An int64 column (nonnegative) is printed in decimal; a uint8 column holds
+    ASCII codes, printed as they are. Each chunk of ``_CSV_CHUNK_ROWS`` rows is
+    laid out as one uint8 block with a line per character position: every
+    int64 column takes as many lines as the chunk's largest value has digits,
+    filled by repeated divmod by 10, and every column is followed by a
+    separator line. A mask drops each field's leading zeros but keeps a lone
+    0, and one boolean index of the transposed block compacts the chunk into
+    its rows, so the working memory stays O(chunk) whatever the number of rows.
+    """
+    out = [header]
+    for start in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
+        parts = [c[start : start + _CSV_CHUNK_ROWS] for c in columns]
+        widths = [1 if c.dtype == np.uint8 else len(str(c.max())) for c in parts]
+        block = np.empty((sum(widths) + len(parts), parts[0].size), dtype=np.uint8)
+        keep = np.ones(block.shape, dtype=bool)
+        end = 0
+        for part, width in zip(parts, widths):
+            if part.dtype == np.uint8:
+                block[end] = part
+            else:
+                if width < 10:  # below 2**32: uint32 division is faster
+                    part = part.astype(np.uint32)
+                last = end + width - 1
+                for j in range(last, end - 1, -1):
+                    if j < last:  # a leading zero once nothing is left of the value
+                        np.not_equal(part, 0, out=keep[j])
+                    part, block[j] = np.divmod(part, 10)
+                block[end : last + 1] += ord("0")
+            end += width + 1
+            block[end - 1] = ord(",")
+        block[-1] = ord("\n")
+        out.append(block.T[keep.T].tobytes())
+    return b"".join(out)
+
+
+def _series_csv(series: CountSeries) -> bytes:
+    return _csv_rows(b"t,count\n", (np.arange(len(series)), series.values))
+
+
 def write_series_csv(series: CountSeries, path) -> None:
-    """Write ``series.to_csv()`` to ``path``, formatting a chunk of rows at a time."""
-    values = series.values.tolist()
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,count\n")
-        for start in range(0, len(values), _CSV_CHUNK_ROWS):
-            chunk = values[start : start + _CSV_CHUNK_ROWS]
-            fh.write("".join(f"{t},{c}\n" for t, c in enumerate(chunk, start)))
+    """Write ``series.to_csv()`` to ``path``: the header ``t,count``, then one
+    row per step, as the bytes :func:`_csv_rows` renders."""
+    with open(path, "wb") as fh:
+        fh.write(_series_csv(series))
 
 
 # Expected appearances per block of steps: bounds the kernel's working arrays.
 _BLOCK_APPEARANCES = 1 << 15
+# Most expected appearances the first block may lay out (about 0.7 GB of arrays).
+_MAX_BLOCK_APPEARANCES = 1 << 24
 _NO_CHAINS = np.zeros(0, dtype=np.int64)  # no chains under way at step 0
 
 
@@ -220,6 +260,24 @@ def _chain_blocks(lam: float, rho: float, gap_draw, steps: int, rng: RngStream,
         yield t0, arrivals, lengths, times
 
 
+def _require_block_size(lam: float, rho: float, reach: float) -> None:
+    """Reject a spec whose first block would lay out too many appearances.
+
+    That block holds the chains under way at step 0, Poisson(lam * reach /
+    (1 - rho)) of them, and at least one step's immigrants, Poisson(lam); each
+    chain makes 1 / (1 - rho) appearances on average. A later block expects at
+    most max(lam / (1 - rho), _BLOCK_APPEARANCES) appearances, so it stays
+    under the bound whenever the first block does.
+    """
+    expected = (lam * reach / (1.0 - rho) + lam) / (1.0 - rho)
+    if expected > _MAX_BLOCK_APPEARANCES:
+        raise ParameterError(
+            f"the simulation would lay out about {expected:.3g} chain appearances at once, "
+            f"more than the bound {_MAX_BLOCK_APPEARANCES}; lower the immigration rate "
+            f"or the persistence"
+        )
+
+
 def _run_chains(
     lam: float, rho: float, gap_draw, steps: int, rng: RngStream, under_way=_NO_CHAINS
 ) -> tuple[np.ndarray, dict[str, int]]:
@@ -253,6 +311,7 @@ def _chain_series(lam, rho, reach, gap_draw, residual_draw, t_len, burn_in, rng,
         raise ParameterError(f"series length must be at least 1, got {t_len}")
     if burn_in < 0:
         raise ParameterError(f"burn-in must be nonnegative, got {burn_in}")
+    _require_block_size(lam, rho, reach)
     under_way = residual_draw(rng.generator.poisson(lam / (1.0 - rho) * reach)) - 1
     out, _ = _run_chains(lam, rho, gap_draw, burn_in + t_len, rng, under_way)
     return CountSeries(out[burn_in:], rng.identity, burn_in, model_tag)
@@ -427,29 +486,38 @@ class PopulationTrace:
             for b, d, s, e in zip(self.births.tolist(), self.deaths.tolist(), [0, *ends], ends)
         )
 
+    def _csv(self) -> bytes:
+        columns = (np.arange(len(self)), self.x, self.x_tilde, self.u_total, self.v_total)
+        return _csv_rows(b"t,x,x_tilde,u_total,v_total\n", columns)
+
+    def _long_csv(self) -> bytes:
+        rows = np.concatenate((self.u_counts, self.v_counts))
+        kind = np.repeat(np.array([ord("u"), ord("v")], dtype=np.uint8),
+                         [len(self.u_counts), len(self.v_counts)])
+        order = np.lexsort((kind, rows[:, 1], rows[:, 0]))
+        rows, kind = rows[order], kind[order]
+        return _csv_rows(b"t,i,kind,count\n", (rows[:, 0], rows[:, 1], kind, rows[:, 2]))
+
     def to_csv(self) -> str:
-        rows = zip(*(c.tolist() for c in (self.x, self.x_tilde, self.u_total, self.v_total)))
-        lines = ["t,x,x_tilde,u_total,v_total"]
-        lines.extend(f"{t},{x},{xt},{u},{v}" for t, (x, xt, u, v) in enumerate(rows))
-        return "\n".join(lines) + "\n"
+        """One row ``t,x,x_tilde,u_total,v_total`` per step, after that header."""
+        return self._csv().decode("ascii")
 
     def to_long_csv(self) -> str:
-        rows = np.concatenate((self.u_counts, self.v_counts))
-        kind = np.repeat([0, 1], [len(self.u_counts), len(self.v_counts)])
-        order = np.lexsort((kind, rows[:, 1], rows[:, 0]))
-        lines = ["t,i,kind,count"]
-        lines.extend(
-            f"{t},{i},{'uv'[k]},{c}"
-            for (t, i, c), k in zip(rows[order].tolist(), kind[order].tolist())
-        )
-        return "\n".join(lines) + "\n"
+        """The rows of both decomposition tables, ordered by (t, i, kind).
+
+        Header ``t,i,kind,count``; ``kind`` is ``u`` for a row of ``u_counts``
+        (first observations at t of individuals born at t-i) and ``v`` for a
+        row of ``v_counts`` (observations at t whose previous one was at t-i).
+        """
+        return self._long_csv().decode("ascii")
 
 
 def write_trace_csv(trace: PopulationTrace, path, long_path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(trace.to_csv())
-    with open(long_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(trace.to_long_csv())
+    """Write ``trace.to_csv()`` to ``path`` and ``trace.to_long_csv()`` to ``long_path``."""
+    with open(path, "wb") as fh:
+        fh.write(trace._csv())
+    with open(long_path, "wb") as fh:
+        fh.write(trace._long_csv())
 
 
 def _tally_pairs(t: np.ndarray, i: np.ndarray, t_len: int) -> np.ndarray:
@@ -487,6 +555,7 @@ def simulate_individual_level(
         )
     if t_len < 1:
         raise ParameterError(f"series length must be at least 1, got {t_len}")
+    _require_block_size(spec.lambda_, spec.alpha, 0.0)
     blocks = [b[1:] for b in _chain_blocks(spec.lambda_, spec.alpha, _unit_gaps, t_len, rng)]
     births, lengths, times = map(np.concatenate, zip(*blocks))
     owner = np.repeat(np.arange(births.size), lengths)

@@ -1,4 +1,5 @@
 import json
+import resource
 import subprocess
 import sys
 
@@ -300,6 +301,69 @@ class TestAppendix:
         spec = write_spec(tmp_path, IMAGE_SPEC)
         res = run_cli("appendix", spec, "--t", "100", "--out", str(tmp_path / "t.csv"))
         assert res.returncode == 2
+
+
+def limit_memory():
+    """Cap the child's address space at 1 GiB, so a large allocation fails at once."""
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+SLOW_DECAY = {"kind": "geom_inf", "beta": 0.0009, "gamma": 0.999}
+
+
+class TestWorkBound:
+    @pytest.mark.parametrize("command, latent", [
+        ("simulate", {"kind": "inar1", "lambda": 9e18, "alpha": 0.5}),
+        ("simulate", {"kind": "inar1", "lambda": 1e17, "alpha": 0.5}),
+        ("appendix", {"kind": "inar1", "lambda": 1e17, "alpha": 0.5}),
+        ("check", dict(SLOW_DECAY, **{"lambda": 1e4})),
+    ], ids=["simulate_9e18", "simulate_1e17", "appendix_1e17", "check_slow_decay"])
+    def test_oversized_first_block_is_input_error(self, tmp_path, command, latent):
+        spec = write_spec(tmp_path, {"latent": latent})
+        args = {
+            "simulate": ("--t", "1", "--out", str(tmp_path / "x.csv")),
+            "appendix": ("--t", "1", "--out", str(tmp_path / "x.csv")),
+            "check": (spec, "--t", "10000", "--reps", "1"),
+        }[command]
+        res = subprocess.run([sys.executable, "-m", "inarq", command, spec, *args],
+                             capture_output=True, text=True, preexec_fn=limit_memory)
+        assert res.returncode == 2, res.stderr[-300:]
+        assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
+        assert str(1 << 24) in res.stderr
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_admissible_slow_decay_runs(self, tmp_path):
+        spec = write_spec(tmp_path, {"latent": dict(SLOW_DECAY, **{"lambda": 1.0})})
+        res = subprocess.run([sys.executable, "-m", "inarq", "simulate", spec, "--t", "10",
+                              "--out", str(tmp_path / "x.csv")],
+                             capture_output=True, text=True, preexec_fn=limit_memory)
+        assert res.returncode == 0, res.stderr[-300:]
+
+
+class TestStrictJson:
+    def test_every_json_stdout_is_strict(self, tmp_path):
+        def reject(name):
+            raise ValueError(f"non-strict JSON constant {name}")
+
+        example = write_spec(tmp_path, EXAMPLE_SPEC, "a.json")
+        image = write_spec(tmp_path, IMAGE_SPEC, "b.json")
+        out = str(tmp_path / "out.csv")
+        commands = [
+            ("simulate", example, "--t", "2000", "--out", out),
+            ("simulate", write_spec(tmp_path, {"latent": {"kind": "inar1", "lambda": 1e-9,
+                                                          "alpha": 0.5}}, "c.json"),
+             "--t", "5", "--out", out),  # an all-zero series: acf_1 undefined
+            ("transform", example, "--to", "inf"),
+            ("transform", example, "--to", "canonical"),
+            ("transform", example, "--to", "q=0.5"),
+            ("curve", example, "--out", out),
+            ("check", example, image, "--t", "10000", "--reps", "1"),
+            ("appendix", example, "--t", "2000", "--out", out),
+        ]
+        for args in commands:
+            res = run_cli(*args)
+            assert res.returncode in (0, 1), (args, res.stderr[-300:])
+            assert isinstance(json.loads(res.stdout, parse_constant=reject), dict), args
 
 
 class TestImports:

@@ -115,6 +115,95 @@ class TestCountSeries:
         assert path.read_bytes() == s.to_csv().encode("utf-8")
 
 
+INT64_MAX = int(np.iinfo(np.int64).max)
+# Both sides of every decimal-width boundary, then the largest int64.
+DIGIT_BOUNDARIES = [0] + [v for k in range(1, 19) for v in (10**k - 1, 10**k)] + [INT64_MAX]
+
+
+def reference_csv(header, rows):
+    """The CSV text of ``rows`` by one f-string per row: the reference for the renderer."""
+    return "".join([f"{header}\n", *(",".join(f"{v}" for v in row) + "\n" for row in rows)])
+
+
+def reference_series_csv(values):
+    return reference_csv("t,count", enumerate(values.tolist()))
+
+
+def reference_trace_csvs(trace):
+    columns = [trace.x, trace.x_tilde, trace.u_total, trace.v_total]
+    wide = reference_csv("t,x,x_tilde,u_total,v_total",
+                         ((t, *row) for t, row in enumerate(zip(*(c.tolist() for c in columns)))))
+    rows = sorted([(t, i, "u", c) for t, i, c in trace.u_counts.tolist()]
+                  + [(t, i, "v", c) for t, i, c in trace.v_counts.tolist()])
+    return wide, reference_csv("t,i,kind,count", rows)
+
+
+def assert_same_csv(actual, expected):
+    """Equal CSV text, or a failure naming the first differing line (pytest's own
+    diff of texts this long takes minutes)."""
+    if isinstance(actual, bytes):
+        actual = actual.decode("ascii", errors="replace")
+    if actual != expected:
+        got, want = actual.split("\n"), expected.split("\n")
+        k = next((k for k, pair in enumerate(zip(got, want)) if pair[0] != pair[1]),
+                 min(len(got), len(want)))
+        pytest.fail(f"line {k}: {got[k : k + 1]} != {want[k : k + 1]} "
+                    f"({len(got)} vs {len(want)} lines)")
+
+
+class TestCsvAgainstReference:
+    """Every CSV writer against a per-row f-string formatter, byte for byte."""
+
+    @pytest.mark.parametrize("values", [
+        [0] * 5,
+        [0],
+        [7],
+        DIGIT_BOUNDARIES,
+        DIGIT_BOUNDARIES[::-1],
+        # the t column widens from 1 to 5 digits inside the first chunk, then a second chunk
+        np.random.default_rng(3).poisson(7.0, _CSV_CHUNK_ROWS + 17),
+    ], ids=["all_zero", "one_zero_row", "one_row", "digit_boundaries", "boundaries_reversed",
+            "two_chunks"])
+    def test_series(self, tmp_path, values):
+        s = CountSeries(np.asarray(values, dtype=np.int64), (0, 0), 0, "x")
+        expected = reference_series_csv(s.values)
+        assert_same_csv(s.to_csv(), expected)
+        path = tmp_path / "series.csv"
+        write_series_csv(s, path)
+        assert_same_csv(path.read_bytes(), expected)
+
+    @staticmethod
+    def boundary_trace():
+        """A trace whose every column and table runs through DIGIT_BOUNDARIES."""
+        v = np.array(DIGIT_BOUNDARIES, dtype=np.int64)
+        no_one = np.zeros(0, dtype=np.int64)
+        table = np.column_stack((v, v[::-1], v))
+        return PopulationTrace(
+            x=v, x_tilde=v, u_total=v // 2, v_total=v - v // 2, b_tilde=v,
+            u_counts=table, v_counts=table[::3], gaps=[], births=no_one, deaths=no_one,
+            obs_times=no_one, obs_owner=no_one, params=(LAM, ALPHA, Q), seed=(0, 0),
+        )
+
+    @pytest.mark.parametrize("make, kinds", [
+        (lambda: simulate_individual_level(Inar1Spec(LAM, ALPHA), ReportingSpec(q=Q), 5_000,
+                                           RngStream(8)), {"u", "v"}),
+        # no survival, so no re-observations: the long CSV has only u rows
+        (lambda: simulate_individual_level(Inar1Spec(LAM, 0.0), ReportingSpec(q=Q), 5_000,
+                                           RngStream(8)), {"u"}),
+        (lambda: TestCsvAgainstReference.boundary_trace(), {"u", "v"}),
+    ], ids=["worked_example", "no_reobservations", "digit_boundaries"])
+    def test_trace(self, tmp_path, make, kinds):
+        trace = make()
+        wide, long = reference_trace_csvs(trace)
+        assert_same_csv(trace.to_csv(), wide)
+        assert_same_csv(trace.to_long_csv(), long)
+        paths = tmp_path / "trace.csv", tmp_path / "trace_long.csv"
+        write_trace_csv(trace, *paths)
+        assert_same_csv(paths[0].read_bytes(), wide)
+        assert_same_csv(paths[1].read_bytes(), long)
+        assert {row.split(",")[2] for row in long.splitlines()[1:]} == kinds
+
+
 class TestInar1:
     def test_rejects_zero_length(self):
         with pytest.raises(ParameterError):
