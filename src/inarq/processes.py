@@ -158,7 +158,7 @@ _CSV_CHUNK_ROWS = 1 << 16
 
 def _csv_rows(header: bytes, columns) -> bytes:
     """``header``, then the CSV rows of equal-length columns: fields joined by
-    "," and every row ended by "\n".
+    commas and every row ended by a newline.
 
     An int64 column (nonnegative) is printed in decimal; a uint8 column holds
     ASCII codes, printed as they are. Each chunk of ``_CSV_CHUNK_ROWS`` rows is

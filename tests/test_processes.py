@@ -176,12 +176,12 @@ class TestCsvAgainstReference:
     def boundary_trace():
         """A trace whose every column and table runs through DIGIT_BOUNDARIES."""
         v = np.array(DIGIT_BOUNDARIES, dtype=np.int64)
-        no_one = np.zeros(0, dtype=np.int64)
+        empty = np.zeros(0, dtype=np.int64)
         table = np.column_stack((v, v[::-1], v))
         return PopulationTrace(
             x=v, x_tilde=v, u_total=v // 2, v_total=v - v // 2, b_tilde=v,
-            u_counts=table, v_counts=table[::3], gaps=[], births=no_one, deaths=no_one,
-            obs_times=no_one, obs_owner=no_one, params=(LAM, ALPHA, Q), seed=(0, 0),
+            u_counts=table, v_counts=table[::3], gaps=[], births=empty, deaths=empty,
+            obs_times=empty, obs_owner=empty, params=(LAM, ALPHA, Q), seed=(0, 0),
         )
 
     @pytest.mark.parametrize("make, kinds", [
