@@ -29,6 +29,8 @@ from .processes import (
     Inar1Spec,
     PopulationTrace,
     ReportingSpec,
+    _geom_chain_law,
+    _require_block_size,
     apply_reporting,
     simulate_inar_inf,
 )
@@ -156,6 +158,34 @@ def _binomial_table(p: float, n: int) -> np.ndarray:
     return table
 
 
+# Most latent states the enumeration oracle may hold. Its transition and
+# thinning tables are this many squared float64s each (32 MiB at the bound);
+# the whole oracle then peaks near 0.15 GB and takes about a second.
+MAX_ORACLE_STATES = 2048
+
+
+def _require_oracle_states(states: float) -> None:
+    if states > MAX_ORACLE_STATES:
+        raise ParameterError(
+            f"the enumeration oracle would hold about {states:.6g} latent states, more than "
+            f"the bound {MAX_ORACLE_STATES}; lower the latent mean"
+        )
+
+
+def _oracle_truncation(mu: float) -> int:
+    """The oracle's default latent truncation for the latent mean ``mu``: 15 above
+    the point leaving 1e-13 of Poisson(mu).
+
+    Raises ParameterError when the oracle would hold more than
+    ``MAX_ORACLE_STATES`` states. The truncation lies above the mean, so a
+    mean at or past the bound is rejected before the O(mu) quantile search.
+    """
+    _require_oracle_states(mu + 1.0)
+    truncation = _poisson_quantile(mu, 1e-13) + 15
+    _require_oracle_states(truncation + 1)
+    return truncation
+
+
 def joint_pmf_oracle(
     model: UnderreportedModel,
     support_cap: int | None = None,
@@ -173,8 +203,9 @@ def joint_pmf_oracle(
     ``truncation`` and observed values up to ``support_cap``. By default
     these are Poisson quantiles computed in this module: 15 above the point
     leaving 1e-13 of the latent marginal, and 10 above the point leaving
-    1e-12 of the observed one. Raises TruncationError if the retained joint
-    mass is not above 1 - 1e-8.
+    1e-12 of the observed one. Raises ParameterError if more than
+    ``MAX_ORACLE_STATES`` latent states would be enumerated, and
+    TruncationError if the retained joint mass is not above 1 - 1e-8.
     """
     latent = model.latent
     if latent.gamma != 0.0:
@@ -184,7 +215,8 @@ def joint_pmf_oracle(
     lam, alpha, q = latent.lambda_, latent.beta, model.q
     mu = lam / (1.0 - alpha)
     if truncation is None:
-        truncation = _poisson_quantile(mu, 1e-13) + 15
+        truncation = _oracle_truncation(mu)
+    _require_oracle_states(truncation + 1)
     if support_cap is None:
         support_cap = min(truncation, _poisson_quantile(q * mu, 1e-12) + 10)
     if support_cap < 0 or truncation < 0:
@@ -361,6 +393,11 @@ def equivalence_mc_test(
         raise ParameterError(f"t_len must be at least 10000, got {t_len}")
     if reps < 1:
         raise ParameterError(f"reps must be at least 1, got {reps}")
+    # Bound the simulations' working arrays, then the oracle's tables, before any draw.
+    for model in (m1, m2):
+        _require_block_size(model.latent.lambda_, *_geom_chain_law(model.latent))
+    c1, c2 = canonicalize(m1), canonicalize(m2)
+    truncation = _oracle_truncation(c1.lambda_star / (1.0 - c1.alpha_star))
 
     sample1, sample2 = [
         [
@@ -380,14 +417,13 @@ def equivalence_mc_test(
 
     tv_marginal = total_variation(_pooled_pmf(sample1), _pooled_pmf(sample2))
 
-    c1, c2 = canonicalize(m1), canonicalize(m2)
     delta = {
         "lambda": c1.lambda_star - c2.lambda_star,
         "alpha": c1.alpha_star - c2.alpha_star,
         "q": c1.q_star - c2.q_star,
     }
 
-    oracle = joint_pmf_oracle(c1.as_model())
+    oracle = joint_pmf_oracle(c1.as_model(), truncation=truncation)
     tv_joint = max(
         total_variation(_pooled_joint_pmf(sample1), oracle),
         total_variation(_pooled_joint_pmf(sample2), oracle),

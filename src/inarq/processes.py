@@ -214,6 +214,7 @@ _NO_CHAINS = np.zeros(0, dtype=np.int64)  # no chains under way at step 0
 
 
 def _unit_gaps(k: int) -> np.ndarray:
+    """The first-order gap law; :func:`_run_chains` counts such chains as intervals."""
     return np.ones(k, dtype=np.int64)
 
 
@@ -224,40 +225,51 @@ def _lag_draw(weights, rng: RngStream):
     return lambda k: rng.generator.choice(w.size, k, p=probs) + 1
 
 
-def _chain_blocks(lam: float, rho: float, gap_draw, steps: int, rng: RngStream,
-                  under_way=_NO_CHAINS):
-    """Lay out immigrant chains over ``steps`` steps, one block at a time.
+def _chain_blocks(lam: float, rho: float, steps: int, rng: RngStream, under_way=_NO_CHAINS):
+    """Draw immigrant chains over ``steps`` steps, one block at a time.
 
     Each step Poisson(lam) immigrants arrive, and the chains under way at
-    step 0 arrive in the first block, at the steps ``under_way``. Each makes
-    Geom(1 - rho) appearances: the first at its arrival step, the next ones
-    after gaps drawn by ``gap_draw(k)`` (k gaps, each >= 1). Immigrants are
-    drawn in blocks of about ``_BLOCK_APPEARANCES`` expected appearances, each
-    block's chains laid out whole, so appearance times may run past the block
-    and past the horizon. Yields, per block, its first step, the chains'
-    arrival steps and lengths, and every appearance time, all in chain order.
+    step 0 arrive in the first block, at the steps ``under_way``. A block of
+    ``width`` steps, sized to about ``_BLOCK_APPEARANCES`` expected
+    appearances, draws Poisson(lam * width) immigrants and puts each on a
+    uniform step of the block, so the per-step counts are iid Poisson(lam).
+    Each chain makes Geom(1 - rho) appearances, the first at its arrival step.
+    Yields, per block, its first step and the chains' arrival steps and
+    lengths, in draw order (not step order); a chain's later appearances may
+    run past the block and past the horizon.
     """
+    g = rng.generator
     block = int(min(steps, max(1.0, _BLOCK_APPEARANCES * (1.0 - rho) / lam)))
     for t0 in range(0, steps, block):
         width = min(block, steps - t0)
-        starts = rng.generator.poisson(lam, width)
-        arrivals = times = np.repeat(np.arange(t0, t0 + width), starts)
+        arrivals = g.integers(t0, t0 + width, g.poisson(lam * width))
         if t0 == 0:
-            arrivals = times = np.concatenate((under_way, arrivals))
-        n = arrivals.size
-        lengths = geometric_draws(1.0 - rho, n, rng)
-        total = int(lengths.sum())
-        if total > n:
-            # Segmented cumsum: each chain's first slot holds a zero gap, so
-            # the running sum less its value there is the chain's elapsed time.
-            firsts = np.cumsum(lengths) - lengths
-            later = np.ones(total, dtype=bool)
-            later[firsts] = False
-            elapsed = np.zeros(total, dtype=np.int64)
-            elapsed[later] = gap_draw(total - n)
-            np.cumsum(elapsed, out=elapsed)
-            times = np.repeat(arrivals - elapsed[firsts], lengths) + elapsed
-        yield t0, arrivals, lengths, times
+            arrivals = np.concatenate((under_way, arrivals))
+        yield t0, arrivals, geometric_draws(1.0 - rho, arrivals.size, rng)
+
+
+def _later_appearances(arrivals: np.ndarray, lengths: np.ndarray, gap_draw) -> np.ndarray:
+    """Times of every appearance but each chain's first, grouped by chain.
+
+    A chain of length n makes n - 1 later appearances, after gaps drawn by
+    ``gap_draw(k)`` (k gaps, each >= 1) in chain order. Its j-th later
+    appearance is its arrival plus the running sum of all gaps drawn so far
+    less the sum of the gaps of the chains before it.
+    """
+    later = lengths - 1
+    elapsed = np.zeros(int(later.sum()) + 1, dtype=np.int64)
+    if elapsed.size > 1:
+        np.cumsum(gap_draw(elapsed.size - 1), out=elapsed[1:])
+    prior = elapsed[np.cumsum(later) - later]
+    return np.repeat(arrivals - prior, later) + elapsed[1:]
+
+
+def _tally(out: np.ndarray, t0: int, times: np.ndarray, op=np.add) -> None:
+    """Add to ``out`` (or, with ``op=np.subtract``, take from it) the number of
+    ``times`` at each step; every time is at or after ``t0``."""
+    counts = np.bincount(times - t0)
+    window = out[t0 : t0 + counts.size]
+    op(window, counts, out=window)
 
 
 def _require_block_size(lam: float, rho: float, reach: float) -> None:
@@ -283,18 +295,32 @@ def _run_chains(
 ) -> tuple[np.ndarray, dict[str, int]]:
     """Counts of an immigrant-chain process over ``steps`` steps.
 
-    The count at a step is the number of appearances there of the chains laid
-    out by :func:`_chain_blocks`; appearances past the horizon are dropped.
-    Returns the counts and the numbers of chains, appearances drawn and
-    appearances dropped.
+    The count at a step is the number of appearances there of the chains
+    drawn by :func:`_chain_blocks`; appearances past the horizon are dropped.
+    With ``gap_draw`` the sentinel :func:`_unit_gaps`, every chain is present
+    at the steps [arrival, arrival + length), so its count is one up at its
+    arrival and one down at its end, summed by one cumsum: the work is
+    O(chains). Otherwise each chain's first appearance is counted at its
+    arrival and only its later appearances are laid out. Both paths give the
+    same counts on the same draws. Returns the counts and the numbers of
+    chains, appearances drawn and appearances dropped.
     """
-    out = np.zeros(steps, dtype=np.int64)
+    unit = gap_draw is _unit_gaps
+    # Counts per step, or on the unit-gap path their differences; one slot
+    # past the horizon takes every appearance (or chain end) there or later.
+    out = np.zeros(steps + 1, dtype=np.int64)
     chains = appearances = 0
-    for t0, arrivals, _, times in _chain_blocks(lam, rho, gap_draw, steps, rng, under_way):
+    for t0, arrivals, lengths in _chain_blocks(lam, rho, steps, rng, under_way):
         chains += arrivals.size
-        appearances += times.size
-        counts = np.bincount(times[times < steps] - t0)
-        out[t0 : t0 + counts.size] += counts
+        appearances += int(lengths.sum())
+        _tally(out, t0, np.minimum(arrivals, steps))
+        if unit:
+            _tally(out, t0, np.minimum(arrivals + lengths, steps), np.subtract)
+        else:
+            _tally(out, t0, np.minimum(_later_appearances(arrivals, lengths, gap_draw), steps))
+    if unit:
+        np.cumsum(out, out=out)
+    out = out[:steps]
     beyond = appearances - int(out.sum())
     return out, {"chains": chains, "appearances": appearances, "beyond": beyond}
 
@@ -323,8 +349,9 @@ def simulate_inar1(
     """Simulate the first-order process as immigrant chains.
 
     Poisson(lambda) immigrants per step, each present for Geom(1 - alpha)
-    consecutive steps (every gap is 1). It starts exactly stationary, with
-    Poisson(lambda * alpha / (1 - alpha)) chains under way at step 0, and
+    consecutive steps (every gap is 1), so each chain is counted as an
+    interval and no appearance is laid out. It starts exactly stationary,
+    with Poisson(lambda * alpha / (1 - alpha)) chains under way at step 0, and
     ``burn_in`` extra steps are discarded. Returns the last ``t_len`` steps.
     """
     return _chain_series(
@@ -354,6 +381,11 @@ def simulate_inar_p(
     )
 
 
+def _geom_chain_law(spec: GeomInarSpec) -> tuple[float, float]:
+    """A geometric-lag chain's persistence rho and its reach, rho times the mean gap."""
+    return spec.total_weight, spec.total_weight / (1.0 - spec.gamma)
+
+
 def simulate_inar_inf(
     spec: GeomInarSpec, t_len: int, rng: RngStream, burn_in: int = 0
 ) -> CountSeries:
@@ -362,14 +394,15 @@ def simulate_inar_inf(
     Poisson(lambda) immigrants per step, each appearing
     Geom(1 - beta/(1-gamma)) times, with Geom(1 - gamma) gaps on {1, 2, ...}.
     An appearance at t thus has a successor at t + i with probability
-    beta * gamma**(i-1), the lag-i weight. Gaps are never truncated. It starts
-    exactly stationary: gaps are memoryless, so a chain under way at step 0
-    next appears at step Geom(1 - gamma) - 1. ``burn_in`` steps are discarded.
+    beta * gamma**(i-1), the lag-i weight. Gaps are never truncated; with
+    gamma = 0 every gap is 1, and the process is the first-order one, counted
+    as :func:`simulate_inar1` counts it. It starts exactly stationary: gaps
+    are memoryless, so a chain under way at step 0 next appears at step
+    Geom(1 - gamma) - 1. ``burn_in`` steps are discarded.
     """
-    gaps = partial(geometric_draws, 1.0 - spec.gamma, rng=rng)
+    gaps = _unit_gaps if spec.gamma == 0.0 else partial(geometric_draws, 1.0 - spec.gamma, rng=rng)
     return _chain_series(
-        spec.lambda_, spec.total_weight, spec.total_weight / (1.0 - spec.gamma), gaps, gaps,
-        t_len, burn_in, rng,
+        spec.lambda_, *_geom_chain_law(spec), gaps, gaps, t_len, burn_in, rng,
         f"geom_inf(lambda={spec.lambda_},beta={spec.beta},gamma={spec.gamma})",
     )
 
@@ -542,10 +575,10 @@ def simulate_individual_level(
     makes the aggregated trace a useful cross-check for the process-level
     simulators.
 
-    The individuals come straight from the chain kernel as the trace's
-    columns: births and unclipped deaths in chain order, and the
-    observations grouped by individual and in time order. Nothing is built
-    per individual; memory still grows with lambda * t_len.
+    The individuals come straight from the chain kernel's draws as the
+    trace's columns: births and unclipped deaths in draw order (not step
+    order), and the observations grouped by individual and in time order.
+    Nothing is built per individual; memory still grows with lambda * t_len.
 
     Only time-homogeneous reporting is supported (``omega`` must be 1).
     """
@@ -556,8 +589,11 @@ def simulate_individual_level(
     if t_len < 1:
         raise ParameterError(f"series length must be at least 1, got {t_len}")
     _require_block_size(spec.lambda_, spec.alpha, 0.0)
-    blocks = [b[1:] for b in _chain_blocks(spec.lambda_, spec.alpha, _unit_gaps, t_len, rng)]
-    births, lengths, times = map(np.concatenate, zip(*blocks))
+    blocks = [b[1:] for b in _chain_blocks(spec.lambda_, spec.alpha, t_len, rng)]
+    births, lengths = map(np.concatenate, zip(*blocks))
+    # Each individual is alive at the consecutive steps [birth, birth + length).
+    total = int(lengths.sum())
+    times = np.repeat(births - (np.cumsum(lengths) - lengths), lengths) + np.arange(total)
     owner = np.repeat(np.arange(births.size), lengths)
     inside = times < t_len
     times, owner = times[inside], owner[inside]

@@ -332,6 +332,19 @@ class TestWorkBound:
         assert str(1 << 24) in res.stderr
         assert not (tmp_path / "x.csv").exists()
 
+    def test_oversized_oracle_is_input_error(self, tmp_path):
+        # This spec passes the first-block bound, but the enumeration oracle of
+        # its class would hold 11909 latent states; check rejects it before
+        # simulating.
+        spec = write_spec(tmp_path, {"latent": dict(SLOW_DECAY, **{"lambda": 1.0})})
+        res = subprocess.run([sys.executable, "-m", "inarq", "check", spec, spec,
+                              "--t", "10000", "--reps", "1"],
+                             capture_output=True, text=True, preexec_fn=limit_memory)
+        assert res.returncode == 2, res.stderr[-300:]
+        assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
+        assert "oracle" in res.stderr and "2048" in res.stderr
+        assert res.stdout == ""
+
     def test_admissible_slow_decay_runs(self, tmp_path):
         spec = write_spec(tmp_path, {"latent": dict(SLOW_DECAY, **{"lambda": 1.0})})
         res = subprocess.run([sys.executable, "-m", "inarq", "simulate", spec, "--t", "10",

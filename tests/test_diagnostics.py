@@ -27,13 +27,17 @@ from inarq import (
     theoretical_observed_moments,
     total_variation,
 )
+from inarq import diagnostics
 from inarq.diagnostics import (
     BATCH_COUNT,
     CHI2_P_FLOOR,
+    MAX_ORACLE_STATES,
     _batch_stats,
     _chi2_sf,
+    _oracle_truncation,
     _poisson_quantile,
 )
+from inarq.equivalence import canonicalize
 
 LAM, ALPHA, Q = 1.62, 0.52, 0.33
 EXAMPLE = UnderreportedModel.from_inar1(Inar1Spec(LAM, ALPHA), Q)
@@ -160,6 +164,23 @@ class TestJointPmfOracle:
         with pytest.raises(ParameterError):
             joint_pmf_oracle(IMAGE_MODEL)
 
+    def test_table_size_is_bounded_before_enumerating(self):
+        # A slow-decay class: its canonical latent mean is 11110, so the default
+        # truncation is 11908 and the tables would be 11909**2 float64s (1.1 GB).
+        slow = canonicalize(UnderreportedModel(GeomInarSpec(1.0, 0.0009, 0.999), 1.0))
+        mu = slow.lambda_star / (1.0 - slow.alpha_star)
+        assert _poisson_quantile(mu, 1e-13) + 15 == 11908
+        for mean in (mu, 1e18, MAX_ORACLE_STATES - 1.0):
+            with pytest.raises(ParameterError, match="oracle"):
+                _oracle_truncation(mean)
+        # An explicit truncation just past the bound is rejected as well.
+        with pytest.raises(ParameterError, match="oracle"):
+            joint_pmf_oracle(EXAMPLE, truncation=MAX_ORACLE_STATES)
+        # The default truncation, up to the largest admitted mean.
+        for mean in (LAM / (1 - ALPHA), 300.0, 1_700.0):
+            truncation = _oracle_truncation(mean)
+            assert truncation == _poisson_quantile(mean, 1e-13) + 15 < MAX_ORACLE_STATES
+
     def test_truncation_too_small_rejected(self):
         with pytest.raises(TruncationError):
             joint_pmf_oracle(EXAMPLE, support_cap=1, truncation=2)
@@ -275,6 +296,15 @@ class TestEquivalenceMcTest:
         mean_stat = next(s for s in report.stats if s.name == "mean")
         assert abs(mean_stat.z) > 3
         assert abs(report.canonical_delta["lambda"]) > 0.1
+
+    def test_oversized_oracle_rejected_before_simulating(self, monkeypatch):
+        def no_simulation(*args):
+            raise AssertionError("simulated before bounding the oracle")
+
+        monkeypatch.setattr(diagnostics, "_observed_series", no_simulation)
+        slow = UnderreportedModel(GeomInarSpec(1.0, 0.0009, 0.999), 1.0)
+        with pytest.raises(ParameterError, match="oracle"):
+            equivalence_mc_test(slow, slow, 10_000, 1, RngStream(1))
 
     def test_report_is_deterministic(self):
         a = equivalence_mc_test(EXAMPLE, IMAGE_MODEL, 10_000, 2, RngStream(211))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats as sps
 
 from inarq import (
     CountSeries,
@@ -20,10 +21,12 @@ from inarq import (
     simulate_inar_p,
     simulate_individual_level,
 )
+from inarq import processes
 from inarq.processes import (
     _BLOCK_APPEARANCES,
     _CSV_CHUNK_ROWS,
     _chain_blocks,
+    _chain_series,
     _run_chains,
     _unit_gaps,
     write_series_csv,
@@ -227,6 +230,26 @@ class TestInar1:
 
         reseed_once(check, 11, 12)
 
+    @pytest.mark.parametrize("lam, t_len, seeds", [
+        (20.0, 50_000, (13, 14)),  # about 30 blocks of 1638 steps
+        (5e4, 1_000, (15, 16)),  # one step per block
+    ], ids=["many_steps_per_block", "one_step_per_block"])
+    def test_block_arrival_draw_is_iid_poisson(self, reseed_once, lam, t_len, seeds):
+        # A block's Poisson(lam * width) immigrants land on uniform steps of it,
+        # which must leave the per-step counts iid Poisson(lam) across blocks.
+        bins = 10
+        edges = sps.poisson.ppf(np.arange(1, bins) / bins, lam)
+        probs = np.diff(np.concatenate(([0.0], sps.poisson.cdf(edges, lam), [1.0])))
+
+        def check(seed):
+            s = simulate_inar1(Inar1Spec(lam, 0.0), t_len, RngStream(seed)).values
+            observed = np.bincount(np.searchsorted(edges, s), minlength=bins)
+            stat = float(((observed - t_len * probs) ** 2 / (t_len * probs)).sum())
+            assert sps.chi2.sf(stat, bins - 1) >= 0.0027, stat
+            assert abs(acf(s)) <= 3 / math.sqrt(t_len)
+
+        reseed_once(check, *seeds)
+
     def test_stationary_mean_and_acf(self, reseed_once):
         def check(seed):
             s = simulate_inar1(Inar1Spec(LAM, ALPHA), 200_000, RngStream(seed))
@@ -328,7 +351,56 @@ class TestInarInf:
         assert np.array_equal(a.values, b.values)
 
 
+def unit_gaps_by_draw(k):
+    """Every gap 1, but not the sentinel: takes the kernel's general path."""
+    return np.ones(k, dtype=np.int64)
+
+
 class TestChainKernel:
+    @pytest.mark.parametrize("lam, rho, steps", [
+        (LAM, ALPHA, 1),
+        (20.0, 0.5, 50_000),  # many blocks
+        (LAM, 0.95, 400),  # chains of 20 steps on average, many past the horizon
+    ], ids=["one_step", "many_blocks", "past_horizon"])
+    def test_unit_gap_counting_matches_layout(self, lam, rho, steps):
+        # Chains under way at step 0, as the stationary start puts them.
+        under_way = np.zeros(RngStream(7).generator.poisson(lam * rho / (1 - rho)), np.int64)
+        runs = [_run_chains(lam, rho, draw, steps, RngStream(3), under_way)
+                for draw in (_unit_gaps, unit_gaps_by_draw)]
+        (counted, counted_stats), (laid_out, laid_out_stats) = runs
+        assert counted.tobytes() == laid_out.tobytes()
+        assert counted_stats == laid_out_stats
+        for out, stats in runs:
+            assert stats["appearances"] == int(out.sum()) + stats["beyond"]
+        assert counted_stats["beyond"] > 0
+
+    @pytest.mark.parametrize("lam, steps", [(20.0, 50_000), (5e4, 5)],
+                             ids=["many_steps_per_block", "one_step_per_block"])
+    def test_each_block_draws_its_arrivals_inside_it(self, lam, steps):
+        under_way = np.array([0, 3, 8], dtype=np.int64)  # may lie past the first block
+        blocks = list(_chain_blocks(lam, 0.5, steps, RngStream(9), under_way))
+        starts = [t0 for t0, _, _ in blocks]
+        assert starts == list(range(0, steps, starts[1])) and starts[-1] < steps
+        for (t0, arrivals, lengths), end in zip(blocks, starts[1:] + [steps]):
+            own = arrivals[under_way.size:] if t0 == 0 else arrivals
+            assert (t0 <= own).all() and (own < end).all()
+            assert arrivals.shape == lengths.shape and (lengths >= 1).all()
+        assert np.array_equal(blocks[0][1][: under_way.size], under_way)
+
+    @pytest.mark.parametrize("t_len, burn_in", [(1, 0), (1, 9), (3_000, 500)])
+    def test_first_order_series_count_chains_as_intervals(self, monkeypatch, t_len, burn_in):
+        laid_out = _chain_series(LAM, ALPHA, ALPHA, unit_gaps_by_draw, unit_gaps_by_draw,
+                                 t_len, burn_in, RngStream(5), "ones")
+
+        def no_layout(*args):
+            raise AssertionError("a first-order series laid out its appearances")
+
+        monkeypatch.setattr(processes, "_later_appearances", no_layout)
+        first = simulate_inar1(Inar1Spec(LAM, ALPHA), t_len, RngStream(5), burn_in)
+        geom = simulate_inar_inf(GeomInarSpec(LAM, ALPHA, 0.0), t_len, RngStream(5), burn_in)
+        assert first.values.tobytes() == geom.values.tobytes() == laid_out.values.tobytes()
+        assert len(first) == t_len
+
     def test_conserves_appearances(self):
         # Slow decay, so many chains cross block boundaries and the horizon.
         spec = GeomInarSpec(5.0, 0.3, 0.6)
@@ -566,12 +638,12 @@ class TestTracePathwiseIdentities:
 
     def test_death_unknown_exactly_when_lifetime_passes_horizon(self, trace):
         t_len = len(trace)
-        # The simulator lays out its individuals with the chain kernel before any
+        # The simulator draws its individuals with the chain kernel before any
         # observation draw, so replaying the kernel on the same stream recovers
         # every individual's birth and lifetime, in record order.
-        blocks = list(_chain_blocks(LAM, ALPHA, _unit_gaps, t_len, RngStream(121)))
-        births = np.concatenate([b for _, b, _, _ in blocks])
-        lifetimes = np.concatenate([n for _, _, n, _ in blocks])
+        blocks = list(_chain_blocks(LAM, ALPHA, t_len, RngStream(121)))
+        births = np.concatenate([b for _, b, _ in blocks])
+        lifetimes = np.concatenate([n for _, _, n in blocks])
         assert np.array_equal(trace.births, births)
         assert np.array_equal(trace.deaths, births + lifetimes)  # never clipped
         assert (trace.deaths > t_len).any()
