@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -29,8 +28,7 @@ from .processes import (
     Inar1Spec,
     PopulationTrace,
     ReportingSpec,
-    _geom_chain_law,
-    _require_block_size,
+    _require_geom_block_size,
     apply_reporting,
     simulate_inar_inf,
 )
@@ -74,10 +72,14 @@ def batch_means_se(values: np.ndarray, n_batches: int = BATCH_COUNT) -> float:
 
 
 def _acf(values: np.ndarray, max_lag: int) -> tuple[float, ...]:
+    # einsum, not `@`: BLAS runs a long dot product on worker threads, whose
+    # wake-up time is erratic on a small host. einsum sums the products in
+    # one pass on this thread, with no temporary array.
     centered = values - values.mean()
-    denom = float(centered @ centered)
+    denom = float(np.einsum("i,i->", centered, centered))
     return tuple(
-        float(centered[:-k] @ centered[k:]) / denom for k in range(1, max_lag + 1)
+        float(np.einsum("i,i->", centered[:-k], centered[k:])) / denom
+        for k in range(1, max_lag + 1)
     )
 
 
@@ -121,9 +123,18 @@ def theoretical_observed_moments(
     return mean, mean, acf
 
 
-def total_variation(p: dict, q: dict) -> float:
-    keys = set(p) | set(q)
-    return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
+def total_variation(p: np.ndarray, q: np.ndarray) -> float:
+    """Total variation distance between two pmfs given as arrays of equal rank.
+
+    ``p[k]`` (or ``p[a, b]``) is the probability of the value k (or of the
+    pair (a, b)). The arrays may differ in shape: each is zero-padded to
+    their common shape.
+    """
+    p, q = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
+    diff = np.zeros(np.maximum(p.shape, q.shape))
+    diff[tuple(map(slice, p.shape))] = p
+    diff[tuple(map(slice, q.shape))] -= q
+    return 0.5 * float(np.abs(diff).sum())
 
 
 def _poisson_pmf(mu: float, n: int) -> np.ndarray:
@@ -190,8 +201,11 @@ def joint_pmf_oracle(
     model: UnderreportedModel,
     support_cap: int | None = None,
     truncation: int | None = None,
-) -> dict[tuple[int, int], float]:
+) -> np.ndarray:
     """Stationary joint pmf of two consecutive observed counts, by enumeration.
+
+    Returns a ``(support_cap + 1, support_cap + 1)`` float64 array ``joint``
+    whose entry ``joint[a, b]`` is the probability of observing a and then b.
 
     Only defined for a first-order latent process (gamma = 0). Sums the
     stationary latent marginal against the one-step transition (thinning
@@ -205,7 +219,8 @@ def joint_pmf_oracle(
     leaving 1e-13 of the latent marginal, and 10 above the point leaving
     1e-12 of the observed one. Raises ParameterError if more than
     ``MAX_ORACLE_STATES`` latent states would be enumerated, and
-    TruncationError if the retained joint mass is not above 1 - 1e-8.
+    TruncationError if the retained joint mass (the table's sum) is not above
+    1 - 1e-8.
     """
     latent = model.latent
     if latent.gamma != 0.0:
@@ -243,11 +258,7 @@ def joint_pmf_oracle(
             f"retained joint mass {mass} is below 1 - 1e-8; "
             "increase support_cap/truncation"
         )
-    return {
-        (int(a), int(b)): float(joint[a, b])
-        for a in range(support_cap + 1)
-        for b in range(support_cap + 1)
-    }
+    return joint
 
 
 class StatComparison(NamedTuple):
@@ -325,26 +336,26 @@ def _pooled_estimates(samples: list[np.ndarray], max_lag: int) -> tuple[np.ndarr
     return est, se
 
 
-def _pooled_pmf(samples: list[np.ndarray]) -> dict[int, float]:
-    total = sum(v.size for v in samples)
-    counts: Counter = Counter()
-    for v in samples:
-        binned = np.bincount(v)
-        counts.update({k: int(c) for k, c in enumerate(binned) if c > 0})
-    return {k: c / total for k, c in counts.items()}
+def _pooled_pmf(samples: list[np.ndarray]) -> np.ndarray:
+    """Pooled pmf of the values, indexed by value."""
+    pooled = np.concatenate(samples)
+    return np.bincount(pooled) / pooled.size
 
 
-def _pooled_joint_pmf(samples: list[np.ndarray]) -> dict[tuple[int, int], float]:
-    total = sum(v.size - 1 for v in samples)
-    counts: Counter = Counter()
+def _pooled_joint_pmf(samples: list[np.ndarray], width: int) -> np.ndarray:
+    """Pooled pmf of each replicate's consecutive pairs, as a (width, width)
+    table indexed [a, b].
+
+    A value at or above ``width - 1`` is counted at ``width - 1``, so the
+    table's size does not grow with the largest count. Each replicate is
+    counted into the table on its own: pooling the pairs into one array
+    first, a large fresh allocation per call, was about three times slower.
+    """
+    counts = np.zeros(width * width, dtype=np.int64)
     for v in samples:
-        width = int(v.max()) + 1
-        codes = v[:-1] * width + v[1:]
-        binned = np.bincount(codes)
-        counts.update(
-            {(int(c // width), int(c % width)): int(m) for c, m in enumerate(binned) if m > 0}
-        )
-    return {k: c / total for k, c in counts.items()}
+        clipped = np.minimum(v, width - 1)
+        counts += np.bincount(clipped[:-1] * width + clipped[1:], minlength=width * width)
+    return (counts / sum(v.size - 1 for v in samples)).reshape(width, width)
 
 
 def _z_score(estimate: float, target: float, se: float) -> float | None:
@@ -395,7 +406,7 @@ def equivalence_mc_test(
         raise ParameterError(f"reps must be at least 1, got {reps}")
     # Bound the simulations' working arrays, then the oracle's tables, before any draw.
     for model in (m1, m2):
-        _require_block_size(model.latent.lambda_, *_geom_chain_law(model.latent))
+        _require_geom_block_size(model.latent)
     c1, c2 = canonicalize(m1), canonicalize(m2)
     truncation = _oracle_truncation(c1.lambda_star / (1.0 - c1.alpha_star))
 
@@ -424,9 +435,11 @@ def equivalence_mc_test(
     }
 
     oracle = joint_pmf_oracle(c1.as_model(), truncation=truncation)
+    # One row and column past the oracle's support, where it has no mass,
+    # gather every pair that leaves it.
+    width = oracle.shape[0] + 1
     tv_joint = max(
-        total_variation(_pooled_joint_pmf(sample1), oracle),
-        total_variation(_pooled_joint_pmf(sample2), oracle),
+        total_variation(_pooled_joint_pmf(sample, width), oracle) for sample in (sample1, sample2)
     )
 
     ok = (

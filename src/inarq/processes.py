@@ -208,7 +208,8 @@ def write_series_csv(series: CountSeries, path) -> None:
 
 # Expected appearances per block of steps: bounds the kernel's working arrays.
 _BLOCK_APPEARANCES = 1 << 15
-# Most expected appearances the first block may lay out (about 0.7 GB of arrays).
+# Most expected appearances, or chains counted as intervals, the first block
+# may lay out (about 0.7 GB of arrays).
 _MAX_BLOCK_APPEARANCES = 1 << 24
 _NO_CHAINS = np.zeros(0, dtype=np.int64)  # no chains under way at step 0
 
@@ -272,19 +273,25 @@ def _tally(out: np.ndarray, t0: int, times: np.ndarray, op=np.add) -> None:
     op(window, counts, out=window)
 
 
-def _require_block_size(lam: float, rho: float, reach: float) -> None:
-    """Reject a spec whose first block would lay out too many appearances.
+def _require_block_size(lam: float, rho: float, reach: float, as_intervals: bool) -> None:
+    """Reject a spec whose first block would lay out too many chains or appearances.
 
     That block holds the chains under way at step 0, Poisson(lam * reach /
-    (1 - rho)) of them, and at least one step's immigrants, Poisson(lam); each
-    chain makes 1 / (1 - rho) appearances on average. A later block expects at
-    most max(lam / (1 - rho), _BLOCK_APPEARANCES) appearances, so it stays
-    under the bound whenever the first block does.
+    (1 - rho)) of them, and at least one step's immigrants, Poisson(lam). With
+    ``as_intervals`` (the unit-gap path of :func:`_run_chains`) only the
+    chains are laid out; otherwise each chain makes 1 / (1 - rho) appearances
+    on average, and all of them are. A later block expects at most
+    max(lam, _BLOCK_APPEARANCES * (1 - rho)) chains and max(lam / (1 - rho),
+    _BLOCK_APPEARANCES) appearances, so it stays under the bound whenever the
+    first block does.
     """
-    expected = (lam * reach / (1.0 - rho) + lam) / (1.0 - rho)
+    expected = lam * reach / (1.0 - rho) + lam
+    what = "chains"
+    if not as_intervals:
+        expected, what = expected / (1.0 - rho), "chain appearances"
     if expected > _MAX_BLOCK_APPEARANCES:
         raise ParameterError(
-            f"the simulation would lay out about {expected:.3g} chain appearances at once, "
+            f"the simulation would lay out about {expected:.3g} {what} at once, "
             f"more than the bound {_MAX_BLOCK_APPEARANCES}; lower the immigration rate "
             f"or the persistence"
         )
@@ -337,7 +344,7 @@ def _chain_series(lam, rho, reach, gap_draw, residual_draw, t_len, burn_in, rng,
         raise ParameterError(f"series length must be at least 1, got {t_len}")
     if burn_in < 0:
         raise ParameterError(f"burn-in must be nonnegative, got {burn_in}")
-    _require_block_size(lam, rho, reach)
+    _require_block_size(lam, rho, reach, gap_draw is _unit_gaps)
     under_way = residual_draw(rng.generator.poisson(lam / (1.0 - rho) * reach)) - 1
     out, _ = _run_chains(lam, rho, gap_draw, burn_in + t_len, rng, under_way)
     return CountSeries(out[burn_in:], rng.identity, burn_in, model_tag)
@@ -386,6 +393,11 @@ def _geom_chain_law(spec: GeomInarSpec) -> tuple[float, float]:
     return spec.total_weight, spec.total_weight / (1.0 - spec.gamma)
 
 
+def _require_geom_block_size(spec: GeomInarSpec) -> None:
+    """The first-block bound :func:`simulate_inar_inf` applies to ``spec``."""
+    _require_block_size(spec.lambda_, *_geom_chain_law(spec), spec.gamma == 0.0)
+
+
 def simulate_inar_inf(
     spec: GeomInarSpec, t_len: int, rng: RngStream, burn_in: int = 0
 ) -> CountSeries:
@@ -407,6 +419,21 @@ def simulate_inar_inf(
     )
 
 
+def _thin(counts: np.ndarray, q: float, g: np.random.Generator) -> np.ndarray:
+    """An independent Binomial(n, q) draw for every entry n of ``counts``.
+
+    The entries are drawn in order of their counts and scattered back, so
+    numpy's binomial sampler keeps its set-up while n repeats instead of
+    rebuilding it for almost every entry. Counts below 2**16 are ordered as
+    uint16, which numpy's stable argsort sorts by radix.
+    """
+    key = counts.astype(np.uint16) if counts.max(initial=0) < 1 << 16 else counts
+    order = np.argsort(key, kind="stable")
+    thinned = np.empty_like(counts)
+    thinned[order] = g.binomial(counts[order], q)
+    return thinned
+
+
 def apply_reporting(
     series: CountSeries, rep: ReportingSpec, rng: RngStream
 ) -> CountSeries:
@@ -415,20 +442,20 @@ def apply_reporting(
     Independently at each step, with probability ``omega`` the reported count
     is a Binomial(X_t, q) thinning of the true one, otherwise the true count
     is reported. ``omega = 1`` is always-thinned reporting; ``omega = 0`` or
-    ``q = 1`` reproduce the input values.
+    ``q = 1`` reproduce the input values without a draw.
     """
     values = series.values
     g = rng.generator
-    if rep.omega == 0.0:
-        reported = values.copy()
+    if rep.omega == 0.0 or rep.q == 1.0:
+        reported = values  # CountSeries keeps its own copy
     elif rep.omega == 1.0:
-        reported = g.binomial(values, rep.q)
+        reported = _thin(values, rep.q, g)
     else:
-        underreported = g.random(values.size) < rep.omega
-        thinned = g.binomial(values, rep.q)
-        reported = np.where(underreported, thinned, values)
+        reported = values.copy()
+        underreported = np.flatnonzero(g.random(values.size) < rep.omega)
+        reported[underreported] = _thin(values[underreported], rep.q, g)
     return CountSeries(
-        values=reported.astype(np.int64),
+        values=reported,
         seed=rng.identity,
         burn_in=series.burn_in,
         model_tag=f"{series.model_tag}|reported(q={rep.q},omega={rep.omega})",
@@ -588,7 +615,7 @@ def simulate_individual_level(
         )
     if t_len < 1:
         raise ParameterError(f"series length must be at least 1, got {t_len}")
-    _require_block_size(spec.lambda_, spec.alpha, 0.0)
+    _require_block_size(spec.lambda_, spec.alpha, 0.0, False)  # lays out every appearance
     blocks = [b[1:] for b in _chain_blocks(spec.lambda_, spec.alpha, t_len, rng)]
     births, lengths = map(np.concatenate, zip(*blocks))
     # Each individual is alive at the consecutive steps [birth, birth + length).

@@ -1,9 +1,14 @@
 import json
+import re
 import resource
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 EXAMPLE_SPEC = {
     "latent": {"kind": "inar1", "lambda": 1.62, "alpha": 0.52},
@@ -109,6 +114,22 @@ class TestSimulate:
         res = run_cli("simulate", write_spec(tmp_path, bad), "--t", "10",
                       "--out", str(tmp_path / "x.csv"))
         assert res.returncode == 2
+
+
+class TestReadme:
+    def test_simulate_example_line(self, tmp_path):
+        text = README.read_text(encoding="utf-8")
+        made_with = re.search(r"was made with numpy (\S+?);", text).group(1)
+        if np.__version__ != made_with:
+            pytest.skip(f"the README example was made with numpy {made_with}, "
+                        f"this is numpy {np.__version__}")
+        spec = re.search(r"## Model spec files.*?```json\n(.*?)```", text, re.S).group(1)
+        command, printed = re.search(r"\ninarq (simulate .*)\n# (.*)\n", text).groups()
+        (tmp_path / "model.json").write_text(spec, encoding="utf-8")
+        res = subprocess.run([sys.executable, "-m", "inarq", *command.split()],
+                             capture_output=True, text=True, cwd=tmp_path)
+        assert res.returncode == 0, res.stderr[-300:]
+        assert res.stdout == printed + "\n"
 
 
 class TestTransform:

@@ -32,10 +32,13 @@ from inarq.diagnostics import (
     BATCH_COUNT,
     CHI2_P_FLOOR,
     MAX_ORACLE_STATES,
+    _acf,
     _batch_stats,
     _chi2_sf,
     _oracle_truncation,
     _poisson_quantile,
+    _pooled_joint_pmf,
+    _pooled_pmf,
 )
 from inarq.equivalence import canonicalize
 
@@ -149,16 +152,15 @@ class TestJointPmfOracle:
     def test_independence_when_memoryless_and_fully_observed(self):
         m = UnderreportedModel.from_inar1(Inar1Spec(1.3, 0.0), 1.0)
         joint = joint_pmf_oracle(m)
-        for (a, b), p in joint.items():
-            target = sps.poisson.pmf(a, 1.3) * sps.poisson.pmf(b, 1.3)
-            assert abs(p - target) <= 1e-12
+        pmf = sps.poisson.pmf(np.arange(joint.shape[0]), 1.3)
+        assert joint.shape == (pmf.size, pmf.size)
+        assert np.abs(joint - np.outer(pmf, pmf)).max() <= 1e-12
 
     def test_marginal_is_thinned_poisson(self):
         joint = joint_pmf_oracle(EXAMPLE)
-        support = sorted({a for a, _ in joint})
-        for a in support:
-            marginal = sum(p for (x, _), p in joint.items() if x == a)
-            assert abs(marginal - sps.poisson.pmf(a, OBSERVED_MEAN)) <= 1e-8
+        marginal = joint.sum(axis=1)
+        target = sps.poisson.pmf(np.arange(marginal.size), OBSERVED_MEAN)
+        assert np.abs(marginal - target).max() <= 1e-8
 
     def test_requires_first_order_latent(self):
         with pytest.raises(ParameterError):
@@ -198,9 +200,8 @@ class TestJointPmfOracle:
         mu = lam / (1.0 - alpha)
         assert _poisson_quantile(mu, 1e-13) + 15 == truncation
         joint = joint_pmf_oracle(UnderreportedModel.from_inar1(Inar1Spec(lam, alpha), q))
-        assert max(joint) == (support_cap, support_cap)
-        assert len(joint) == table.size
-        assert max(abs(p - table[a, b]) for (a, b), p in joint.items()) <= 1e-12
+        assert joint.shape == table.shape == (support_cap + 1, support_cap + 1)
+        assert np.abs(joint - table).max() <= 1e-12
 
     def test_default_cutoffs_are_scipy_quantiles(self):
         for lam in (1e-6, 0.05, 0.5, 1.62, 5.0, 30.0, 100.0, 500.0):
@@ -217,12 +218,8 @@ class TestJointPmfOracle:
             s = simulate_inar_inf(IMAGE_MODEL.latent, 200_000, RngStream(seed))
             v = s.values
             width = int(v.max()) + 1
-            codes = np.bincount(v[:-1] * width + v[1:])
-            emp = {
-                (c // width, c % width): m / (v.size - 1)
-                for c, m in enumerate(codes)
-                if m > 0
-            }
+            codes = np.bincount(v[:-1] * width + v[1:], minlength=width * width)
+            emp = codes.reshape(width, width) / (v.size - 1)
             assert total_variation(emp, joint) <= 0.03
 
         reseed_once(check, 171, 172)
@@ -271,6 +268,58 @@ class TestBatchStats:
         got, want = _batch_stats(values, 5), loop_batch_stats(values, 5)
         assert got.shape == (BATCH_COUNT, 7)
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+
+
+def dict_total_variation(p, q):
+    # Reference: pmfs as {value: probability} dicts, absent keys are 0.
+    keys = set(p) | set(q)
+    return 0.5 * math.fsum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
+
+
+def as_dict(pmf):
+    return {k: float(pmf[k]) for k in np.ndindex(pmf.shape) if pmf[k] > 0}
+
+
+class TestArrayStatistics:
+    def test_acf_matches_loop(self):
+        values = np.random.default_rng(23).poisson(OBSERVED_MEAN, 20_011).astype(float)
+        c = (values - values.mean()).tolist()
+        denom = math.fsum(x * x for x in c)
+        want = [math.fsum(c[j] * c[j + k] for j in range(len(c) - k)) / denom
+                for k in range(1, 6)]
+        np.testing.assert_allclose(_acf(values, 5), want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shapes", [((7,), (12,)), ((5, 9), (11, 3)), ((1,), (1,))])
+    def test_total_variation_matches_dict_formula(self, shapes):
+        g = np.random.default_rng(29)
+        for _ in range(20):
+            p, q = (g.dirichlet(np.ones(math.prod(n))).reshape(n) for n in shapes)
+            p[g.random(p.shape) < 0.2] = 0.0  # some absent values
+            want = dict_total_variation(as_dict(p), as_dict(q))
+            assert total_variation(p, q) == pytest.approx(want, rel=0, abs=1e-15)
+            assert total_variation(q, p) == total_variation(p, q)
+
+    def test_pooled_pmfs_match_dict_counts(self):
+        g = np.random.default_rng(31)
+        samples = [g.poisson(3.0, 5_000), g.poisson(3.0, 4_321)]
+        samples[1][17] = 40  # past the joint table's width
+        pooled = np.concatenate(samples)
+        marginal = _pooled_pmf(samples)
+        assert marginal.size == 41
+        assert as_dict(marginal) == {
+            (k,): c / pooled.size for k, c in enumerate(np.bincount(pooled)) if c > 0
+        }
+        width = 12  # values of 11 or more are counted at 11
+        joint = _pooled_joint_pmf(samples, width)
+        assert joint.shape == (width, width)
+        counts = {}
+        for v in samples:
+            for a, b in zip(v[:-1].tolist(), v[1:].tolist()):
+                key = (min(a, width - 1), min(b, width - 1))
+                counts[key] = counts.get(key, 0) + 1
+        total = sum(v.size - 1 for v in samples)
+        assert as_dict(joint) == {k: c / total for k, c in counts.items()}
+        assert joint[:, 11].sum() > 0 and joint[11].sum() > 0
 
 
 class TestEquivalenceMcTest:

@@ -27,6 +27,9 @@ from inarq.processes import (
     _CSV_CHUNK_ROWS,
     _chain_blocks,
     _chain_series,
+    _MAX_BLOCK_APPEARANCES,
+    _require_block_size,
+    _require_geom_block_size,
     _run_chains,
     _unit_gaps,
     write_series_csv,
@@ -152,6 +155,37 @@ def assert_same_csv(actual, expected):
                  min(len(got), len(want)))
         pytest.fail(f"line {k}: {got[k : k + 1]} != {want[k : k + 1]} "
                     f"({len(got)} vs {len(want)} lines)")
+
+
+class TestBlockBound:
+    def test_first_order_chains_are_bounded_as_chains(self):
+        # lambda = 2e5, alpha = 0.9: 2e6 chains in the first block, 2e7 appearances.
+        _require_block_size(2e5, 0.9, 0.9, True)
+        with pytest.raises(ParameterError, match="chain appearances"):
+            _require_block_size(2e5, 0.9, 0.9, False)
+        # simulate_inar_inf counts gamma = 0 as intervals and lays out gamma > 0.
+        _require_geom_block_size(GeomInarSpec(2e5, 0.9, 0.0))
+        with pytest.raises(ParameterError, match="chain appearances"):
+            _require_geom_block_size(GeomInarSpec(4e5, 0.5, 0.4))
+
+    @pytest.mark.parametrize("as_intervals", [True, False])
+    def test_bound_on_either_side(self, as_intervals):
+        rho = 0.75
+        per_chain = 1.0 if as_intervals else 1.0 / (1.0 - rho)
+        # rho as the reach: chains = lam / (1 - rho).
+        at_bound = _MAX_BLOCK_APPEARANCES * (1.0 - rho) / per_chain
+        _require_block_size(at_bound * 0.999, rho, rho, as_intervals)
+        with pytest.raises(ParameterError, match=str(_MAX_BLOCK_APPEARANCES)):
+            _require_block_size(at_bound * 1.001, rho, rho, as_intervals)
+
+    def test_individual_level_keeps_the_appearance_bound(self, monkeypatch):
+        def no_simulation(*args):
+            raise AssertionError("simulated before bounding the block")
+
+        monkeypatch.setattr(processes, "_chain_blocks", no_simulation)
+        # It starts empty: 2e6 chains in the first block and 2e7 appearances.
+        with pytest.raises(ParameterError, match="chain appearances"):
+            simulate_individual_level(Inar1Spec(2e6, 0.9), ReportingSpec(q=0.5), 10, RngStream(1))
 
 
 class TestCsvAgainstReference:
@@ -494,11 +528,62 @@ class TestStationaryStart:
         reseed_once(check, *seeds)
 
 
+def thinning_chi_square(latent, reported, q, omega):
+    """Chi-square statistic and degrees of freedom of the reported counts,
+    grouped by latent count n, against their law given n: Binomial(n, q)
+    with probability omega, n otherwise.
+
+    Within each group, consecutive values are merged into bins of at least
+    5 expected entries; a short last bin joins the one before it.
+    """
+    stat, df = 0.0, 0
+    for n in np.unique(latent):
+        got = reported[latent == n]
+        expected = omega * sps.binom.pmf(np.arange(n + 1), n, q) * got.size
+        expected[n] += (1.0 - omega) * got.size
+        ends, acc = [], 0.0
+        for k, e in enumerate(expected):
+            acc += e
+            if acc >= 5.0:
+                ends.append(k + 1)
+                acc = 0.0
+        if len(ends) < 2:
+            continue
+        ends[-1] = n + 1
+        starts = [0] + ends[:-1]
+        bin_expected = np.add.reduceat(expected, starts)
+        observed = np.bincount(np.searchsorted(ends, got, side="right"), minlength=len(ends))
+        stat += float(((observed - bin_expected) ** 2 / bin_expected).sum())
+        df += len(ends) - 1
+    return stat, df
+
+
 class TestApplyReporting:
-    def test_full_reporting_is_identity(self):
+    @pytest.mark.parametrize("omega", [1.0, 0.5, 0.0])
+    def test_full_reporting_is_identity_without_a_draw(self, omega):
         s = simulate_inar1(Inar1Spec(LAM, ALPHA), 1_000, RngStream(1))
-        out = apply_reporting(s, ReportingSpec(q=1.0, omega=1.0), RngStream(2))
+        rng = RngStream(2)
+        out = apply_reporting(s, ReportingSpec(q=1.0, omega=omega), rng)
         assert np.array_equal(out.values, s.values)
+        # The generator did not move: its next draws are a fresh stream's first.
+        assert np.array_equal(rng.generator.random(4), RngStream(2).generator.random(4))
+
+    @pytest.mark.parametrize("q", [0.33, 0.9])
+    @pytest.mark.parametrize("omega", [1.0, 0.5])
+    def test_reported_count_given_latent_count(self, reseed_once, q, omega):
+        # Shuffled groups of equal latent counts, one of them at or above 2**16
+        # so that the counts are ordered as int64, not uint16.
+        latent = np.repeat([0, 1, 2, 3, 7, 20, 100, 70_000], 2_000)
+        np.random.default_rng(5).shuffle(latent)
+        series = CountSeries(latent, (0, 0), 0, "groups")
+
+        def check(seed):
+            out = apply_reporting(series, ReportingSpec(q=q, omega=omega), RngStream(seed))
+            stat, df = thinning_chi_square(latent, out.values, q, omega)
+            assert df > 20
+            assert sps.chi2.sf(stat, df) > 1e-4, (stat, df)
+
+        reseed_once(check, 121, 122)
 
     def test_never_underreported_is_identity(self):
         s = simulate_inar1(Inar1Spec(LAM, ALPHA), 1_000, RngStream(1))
