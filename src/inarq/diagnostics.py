@@ -44,12 +44,16 @@ CANONICAL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class MomentSummary:
-    """Empirical first/second-order summary of a count series."""
+    """Empirical first/second-order summary of a count series.
+
+    ``marginal_pmf[k]`` is the share of the counts equal to k, the array form
+    :func:`total_variation` compares.
+    """
 
     mean: float
     variance: float
     acf: tuple[float, ...]
-    marginal_pmf: dict[int, float]
+    marginal_pmf: np.ndarray
     n: int
     se_mean: float
     degenerate: bool = False
@@ -97,8 +101,7 @@ def empirical_moments(series: CountSeries, max_lag: int) -> MomentSummary:
         raise InsufficientDataError(
             f"series of length {n} is too short for lags up to {max_lag}"
         )
-    counts = np.bincount(series.values)
-    pmf = {k: float(c) / n for k, c in enumerate(counts) if c > 0}
+    pmf = np.bincount(series.values) / n
     mean = float(values.mean())
     variance = float(values.var(ddof=1))
     se_mean = batch_means_se(values)

@@ -559,14 +559,14 @@ def thinning_chi_square(latent, reported, q, omega):
 
 
 class TestApplyReporting:
-    @pytest.mark.parametrize("omega", [1.0, 0.5, 0.0])
-    def test_full_reporting_is_identity_without_a_draw(self, omega):
+    def test_full_reporting_is_identity(self):
         s = simulate_inar1(Inar1Spec(LAM, ALPHA), 1_000, RngStream(1))
-        rng = RngStream(2)
-        out = apply_reporting(s, ReportingSpec(q=1.0, omega=omega), rng)
-        assert np.array_equal(out.values, s.values)
-        # The generator did not move: its next draws are a fresh stream's first.
-        assert np.array_equal(rng.generator.random(4), RngStream(2).generator.random(4))
+        for omega in (1.0, 0.5, 0.0):
+            rng = RngStream(2)
+            out = apply_reporting(s, ReportingSpec(q=1.0, omega=omega), rng)
+            assert np.array_equal(out.values, s.values)
+            # No draw: the generator's next draws are a fresh stream's first.
+            assert np.array_equal(rng.generator.random(4), RngStream(2).generator.random(4))
 
     @pytest.mark.parametrize("q", [0.33, 0.9])
     @pytest.mark.parametrize("omega", [1.0, 0.5])
