@@ -9,6 +9,7 @@ its admissible range.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -234,7 +235,10 @@ def cmd_appendix(args) -> int:
     return 0 if report.all_passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``inarq`` argument parser, built once per process: parsing leaves
+    it unchanged, and building it costs more than a parse."""
     parser = argparse.ArgumentParser(
         prog="inarq",
         description=(

@@ -206,12 +206,21 @@ def write_series_csv(series: CountSeries, path) -> None:
         fh.write(_series_csv(series))
 
 
-# Expected appearances per block of steps: bounds the kernel's working arrays.
+# Expected entries per block of steps: appearances, or on the unit-gap path
+# chains and per-step class counts; bounds the kernel's working arrays.
 _BLOCK_APPEARANCES = 1 << 15
 # Most expected appearances, or chains counted as intervals, the first block
-# may lay out (about 0.7 GB of arrays).
+# (or the whole individual-level trace) may lay out (about 0.7 GB of arrays).
 _MAX_BLOCK_APPEARANCES = 1 << 24
-_NO_CHAINS = np.zeros(0, dtype=np.int64)  # no chains under way at step 0
+# Fewest chains per step a length class must expect for the unit-gap path to
+# draw it as per-step counts instead of as chains.
+_DENSE_CLASS_CHAINS = 3.0
+# Fewest chains a length class must expect to get its own Poisson count:
+# below a mean of 10 numpy's Poisson sampler multiplies about mean + 1
+# uniforms, no fewer than the chains' own geometric draws would take.
+_CLASS_CHAINS = 10.0
+# No chains under way at step 0: (arrival steps, lengths, step-0 class counts).
+_NO_CHAINS = (np.zeros(0, dtype=np.int64),) * 3
 
 
 def _unit_gaps(k: int) -> np.ndarray:
@@ -226,27 +235,83 @@ def _lag_draw(weights, rng: RngStream):
     return lambda k: rng.generator.choice(w.size, k, p=probs) + 1
 
 
-def _chain_blocks(lam: float, rho: float, steps: int, rng: RngStream, under_way=_NO_CHAINS):
-    """Draw immigrant chains over ``steps`` steps, one block at a time.
+def _classes(mean: float, rho: float, least: float) -> int:
+    """How many length classes, from the first, expect at least ``least`` of
+    Poisson(``mean``) chains with Geom(1 - rho) lengths; class k expects
+    mean * (1 - rho) * rho**(k - 1)."""
+    top = mean * (1.0 - rho)
+    if top < least:
+        return 0
+    return 1 if rho == 0.0 else int(math.log(top / least) / -math.log(rho)) + 1
 
-    Each step Poisson(lam) immigrants arrive, and the chains under way at
-    step 0 arrive in the first block, at the steps ``under_way``. A block of
-    ``width`` steps, sized to about ``_BLOCK_APPEARANCES`` expected
-    appearances, draws Poisson(lam * width) immigrants and puts each on a
-    uniform step of the block, so the per-step counts are iid Poisson(lam).
-    Each chain makes Geom(1 - rho) appearances, the first at its arrival step.
-    Yields, per block, its first step and the chains' arrival steps and
-    lengths, in draw order (not step order); a chain's later appearances may
-    run past the block and past the horizon.
+
+def _dense_classes(lam: float, rho: float) -> int:
+    """How many classes the unit-gap path draws as per-step counts."""
+    return _classes(lam, rho, _DENSE_CLASS_CHAINS)
+
+
+def _class_lengths(mean: float, rho: float, skip: int, rng: RngStream) -> np.ndarray:
+    """Lengths of Poisson(``mean``) chains with Geom(1 - rho) lengths, less
+    those of the first ``skip`` classes.
+
+    The chains of length k, class k, are Poisson(mean * (1 - rho) *
+    rho**(k - 1)) and independent of the other classes. Each class past
+    ``skip`` that expects at least ``_CLASS_CHAINS`` chains gets one Poisson
+    count and its lengths from one ``np.repeat``; so there are at most a
+    tenth as many explicit classes as expected chains, whatever rho. The
+    chains past the last of them, ``top``, are Poisson(mean * rho**top), of
+    lengths top + Geom(1 - rho), one geometric draw each. Lengths come
+    sorted by class.
     """
     g = rng.generator
-    block = int(min(steps, max(1.0, _BLOCK_APPEARANCES * (1.0 - rho) / lam)))
+    top = max(skip, _classes(mean, rho, _CLASS_CHAINS))
+    k = np.arange(skip + 1, top + 1)
+    counts = g.poisson(mean * (1.0 - rho) * rho ** (k - 1.0)) if k.size else k
+    tail = geometric_draws(1.0 - rho, g.poisson(mean * rho**top), rng)
+    return np.concatenate((np.repeat(k, counts), tail + top))
+
+
+def _chain_blocks(lam: float, rho: float, steps: int, rng: RngStream, under_way=_NO_CHAINS,
+                  dense: bool = False):
+    """Draw immigrant chains over ``steps`` steps, one block at a time.
+
+    Each step Poisson(lam) immigrants arrive, each starting a chain of
+    Geom(1 - rho) appearances, the first at its arrival step. Chains of one
+    length are a Poisson process on the steps, independent across lengths,
+    so a block of ``width`` steps draws Poisson(lam * width) chains by
+    length class (:func:`_class_lengths`) and puts each on a uniform step of
+    the block: the per-step counts are iid Poisson(lam). The chains under
+    way at step 0, ``under_way`` = (arrival steps, lengths, counts), join the
+    first block; ``counts[k - 1]`` more chains of length k arrive at step 0,
+    for the dense classes k below.
+
+    With ``dense`` (the unit-gap path of :func:`_run_chains`), every class k
+    that expects at least ``_DENSE_CLASS_CHAINS`` chains per step is drawn
+    instead as per-step counts, ``hist[k - 1, s]`` ~ Poisson(lam * (1 - rho)
+    * rho**(k - 1)) chains of length k arriving at step t0 + s; they never
+    exist as arrays. Blocks are sized to about ``_BLOCK_APPEARANCES``
+    entries laid out: appearances, or with ``dense`` chains and counts.
+
+    Yields, per block, its first step, the sparse chains' arrival steps and
+    lengths (in class order, not step order) and ``hist`` (no rows without
+    ``dense``); a chain's later appearances may run past the block and past
+    the horizon.
+    """
+    g = rng.generator
+    skip = _dense_classes(lam, rho) if dense else 0
+    per_step = skip + lam * rho**skip if dense else lam / (1.0 - rho)
+    block = int(min(steps, max(1.0, _BLOCK_APPEARANCES / per_step)))
+    rates = lam * (1.0 - rho) * rho ** np.arange(skip, dtype=np.float64)[:, None]
     for t0 in range(0, steps, block):
         width = min(block, steps - t0)
-        arrivals = g.integers(t0, t0 + width, g.poisson(lam * width))
+        lengths = _class_lengths(lam * width, rho, skip, rng)
+        arrivals = g.integers(t0, t0 + width, lengths.size)
+        hist = g.poisson(rates, (skip, width)) if skip else np.zeros((0, width), np.int64)
         if t0 == 0:
-            arrivals = np.concatenate((under_way, arrivals))
-        yield t0, arrivals, geometric_draws(1.0 - rho, arrivals.size, rng)
+            arrivals = np.concatenate((under_way[0], arrivals))
+            lengths = np.concatenate((under_way[1], lengths))
+            hist[: under_way[2].size, 0] += under_way[2]
+        yield t0, arrivals, lengths, hist
 
 
 def _later_appearances(arrivals: np.ndarray, lengths: np.ndarray, gap_draw) -> np.ndarray:
@@ -265,12 +330,22 @@ def _later_appearances(arrivals: np.ndarray, lengths: np.ndarray, gap_draw) -> n
     return np.repeat(arrivals - prior, later) + elapsed[1:]
 
 
-def _tally(out: np.ndarray, t0: int, times: np.ndarray, op=np.add) -> None:
+def _tally(out: np.ndarray, t0: int, times: np.ndarray, op=np.add, weights=None) -> None:
     """Add to ``out`` (or, with ``op=np.subtract``, take from it) the number of
-    ``times`` at each step; every time is at or after ``t0``."""
-    counts = np.bincount(times - t0)
+    ``times`` at each step, or the sum of their ``weights``; every time is at
+    or after ``t0``."""
+    counts = np.bincount(times - t0, weights)
     window = out[t0 : t0 + counts.size]
-    op(window, counts, out=window)
+    op(window, counts.astype(np.int64, copy=False), out=window)
+
+
+def _require_layout(expected: float, what: str) -> None:
+    if expected > _MAX_BLOCK_APPEARANCES:
+        raise ParameterError(
+            f"the simulation would lay out about {expected:.3g} {what} at once, "
+            f"more than the bound {_MAX_BLOCK_APPEARANCES}; lower the immigration rate, "
+            f"the persistence or the length"
+        )
 
 
 def _require_block_size(lam: float, rho: float, reach: float, as_intervals: bool) -> None:
@@ -280,36 +355,30 @@ def _require_block_size(lam: float, rho: float, reach: float, as_intervals: bool
     (1 - rho)) of them, and at least one step's immigrants, Poisson(lam). With
     ``as_intervals`` (the unit-gap path of :func:`_run_chains`) only the
     chains are laid out; otherwise each chain makes 1 / (1 - rho) appearances
-    on average, and all of them are. A later block expects at most
-    max(lam, _BLOCK_APPEARANCES * (1 - rho)) chains and max(lam / (1 - rho),
-    _BLOCK_APPEARANCES) appearances, so it stays under the bound whenever the
-    first block does.
+    on average, and all of them are. A later block lays out about
+    max(per-step entries, _BLOCK_APPEARANCES) entries, and a step's entries
+    are at most lam chains plus one count per dense class, or lam / (1 - rho)
+    appearances, so it stays under the bound whenever the first block does.
     """
     expected = lam * reach / (1.0 - rho) + lam
-    what = "chains"
-    if not as_intervals:
-        expected, what = expected / (1.0 - rho), "chain appearances"
-    if expected > _MAX_BLOCK_APPEARANCES:
-        raise ParameterError(
-            f"the simulation would lay out about {expected:.3g} {what} at once, "
-            f"more than the bound {_MAX_BLOCK_APPEARANCES}; lower the immigration rate "
-            f"or the persistence"
-        )
+    if as_intervals:
+        _require_layout(expected, "chains")
+    else:
+        _require_layout(expected / (1.0 - rho), "chain appearances")
 
 
-def _run_chains(
-    lam: float, rho: float, gap_draw, steps: int, rng: RngStream, under_way=_NO_CHAINS
-) -> tuple[np.ndarray, dict[str, int]]:
-    """Counts of an immigrant-chain process over ``steps`` steps.
+def _count_chains(blocks, gap_draw, steps: int) -> tuple[np.ndarray, dict[str, int]]:
+    """Counts over ``steps`` steps of the chains in ``blocks``, as
+    :func:`_chain_blocks` yields them; appearances past the horizon are dropped.
 
-    The count at a step is the number of appearances there of the chains
-    drawn by :func:`_chain_blocks`; appearances past the horizon are dropped.
     With ``gap_draw`` the sentinel :func:`_unit_gaps`, every chain is present
     at the steps [arrival, arrival + length), so its count is one up at its
-    arrival and one down at its end, summed by one cumsum: the work is
-    O(chains). Otherwise each chain's first appearance is counted at its
-    arrival and only its later appearances are laid out. Both paths give the
-    same counts on the same draws. Returns the counts and the numbers of
+    arrival and one down at its end, summed by one cumsum; a block's per-step
+    class counts ``hist`` go in the same way, +h at step s and -h at s + k,
+    so the work is O(chains + counts). Otherwise each chain's first
+    appearance is counted at its arrival and only its later appearances are
+    laid out; the blocks must then hold no per-step counts. Both paths give
+    the same counts on the same chains. Returns the counts and the numbers of
     chains, appearances drawn and appearances dropped.
     """
     unit = gap_draw is _unit_gaps
@@ -317,14 +386,23 @@ def _run_chains(
     # past the horizon takes every appearance (or chain end) there or later.
     out = np.zeros(steps + 1, dtype=np.int64)
     chains = appearances = 0
-    for t0, arrivals, lengths in _chain_blocks(lam, rho, steps, rng, under_way):
+    for t0, arrivals, lengths, hist in blocks:
         chains += arrivals.size
         appearances += int(lengths.sum())
         _tally(out, t0, np.minimum(arrivals, steps))
-        if unit:
-            _tally(out, t0, np.minimum(arrivals + lengths, steps), np.subtract)
-        else:
+        if not unit:
             _tally(out, t0, np.minimum(_later_appearances(arrivals, lengths, gap_draw), steps))
+            continue
+        _tally(out, t0, np.minimum(arrivals + lengths, steps), np.subtract)
+        if hist.size:
+            k = np.arange(1, len(hist) + 1)
+            starts = np.arange(t0, t0 + hist.shape[1])
+            out[t0 : t0 + starts.size] += hist.sum(axis=0)
+            ends = np.minimum(starts + k[:, None], steps)
+            _tally(out, t0, ends.ravel(), np.subtract, hist.ravel())
+            per_class = hist.sum(axis=1)
+            chains += int(per_class.sum())
+            appearances += int(per_class @ k)
     if unit:
         np.cumsum(out, out=out)
     out = out[:steps]
@@ -332,20 +410,43 @@ def _run_chains(
     return out, {"chains": chains, "appearances": appearances, "beyond": beyond}
 
 
+def _run_chains(
+    lam: float, rho: float, gap_draw, steps: int, rng: RngStream, under_way=_NO_CHAINS
+) -> tuple[np.ndarray, dict[str, int]]:
+    """Counts of an immigrant-chain process over ``steps`` steps, with the
+    chains under way at step 0 given as :func:`_chain_blocks` takes them.
+
+    Draws the chains by :func:`_chain_blocks`, with the dense classes as
+    per-step counts on the unit-gap path (``gap_draw`` the sentinel
+    :func:`_unit_gaps`), whose blocks are then sized by the chains and
+    counts they hold; it counts them by :func:`_count_chains`.
+    """
+    unit = gap_draw is _unit_gaps
+    return _count_chains(_chain_blocks(lam, rho, steps, rng, under_way, unit), gap_draw, steps)
+
+
 def _chain_series(lam, rho, reach, gap_draw, residual_draw, t_len, burn_in, rng, model_tag):
     """Run the chain kernel from its stationary state; keep the last ``t_len`` steps.
 
     The chains under way at step 0 are a Poisson colouring of past immigrants:
     Poisson(lam * reach / (1 - rho)) of them, ``reach`` = rho * E[G] for a gap
-    G. Each next appears at step R - 1, P(R = r) = P(G >= r) / E[G], drawn by
-    ``residual_draw(k)``, and then makes Geom(1 - rho) appearances.
+    G, with Geom(1 - rho) lengths drawn by class as a block's are. Each next
+    appears at step R - 1, P(R = r) = P(G >= r) / E[G], drawn by
+    ``residual_draw(k)``, and then makes its appearances. On the unit-gap
+    path every one is present from step 0, so the dense classes there are
+    drawn as counts at step 0 and never laid out.
     """
     if t_len < 1:
         raise ParameterError(f"series length must be at least 1, got {t_len}")
     if burn_in < 0:
         raise ParameterError(f"burn-in must be nonnegative, got {burn_in}")
-    _require_block_size(lam, rho, reach, gap_draw is _unit_gaps)
-    under_way = residual_draw(rng.generator.poisson(lam / (1.0 - rho) * reach)) - 1
+    unit = gap_draw is _unit_gaps
+    _require_block_size(lam, rho, reach, unit)
+    mean = lam / (1.0 - rho) * reach
+    skip = _dense_classes(lam, rho) if unit else 0
+    counts = rng.generator.poisson(mean * (1.0 - rho) * rho ** np.arange(skip, dtype=np.float64))
+    lengths = _class_lengths(mean, rho, skip, rng)
+    under_way = (residual_draw(lengths.size) - 1, lengths, counts)
     out, _ = _run_chains(lam, rho, gap_draw, burn_in + t_len, rng, under_way)
     return CountSeries(out[burn_in:], rng.identity, burn_in, model_tag)
 
@@ -357,8 +458,12 @@ def simulate_inar1(
 
     Poisson(lambda) immigrants per step, each present for Geom(1 - alpha)
     consecutive steps (every gap is 1), so each chain is counted as an
-    interval and no appearance is laid out. It starts exactly stationary,
-    with Poisson(lambda * alpha / (1 - alpha)) chains under way at step 0, and
+    interval, +1 at its arrival and -1 at its end, and no appearance is laid
+    out. Chains of length k arrive as a Poisson(lambda * (1 - alpha) *
+    alpha**(k - 1)) process per step; every class expecting several per
+    step is drawn as one count per step, so a high rate costs O(log lambda)
+    draws per step, not O(lambda). It starts exactly stationary, with
+    Poisson(lambda * alpha / (1 - alpha)) chains under way at step 0, and
     ``burn_in`` extra steps are discarded. Returns the last ``t_len`` steps.
     """
     return _chain_series(
@@ -605,7 +710,9 @@ def simulate_individual_level(
     The individuals come straight from the chain kernel's draws as the
     trace's columns: births and unclipped deaths in draw order (not step
     order), and the observations grouped by individual and in time order.
-    Nothing is built per individual; memory still grows with lambda * t_len.
+    Nothing is built per individual; memory still grows with lambda * t_len,
+    so a trace expecting more than ``_MAX_BLOCK_APPEARANCES`` appearances,
+    lambda * t_len / (1 - alpha), is rejected before any draw.
 
     Only time-homogeneous reporting is supported (``omega`` must be 1).
     """
@@ -615,8 +722,9 @@ def simulate_individual_level(
         )
     if t_len < 1:
         raise ParameterError(f"series length must be at least 1, got {t_len}")
-    _require_block_size(spec.lambda_, spec.alpha, 0.0, False)  # lays out every appearance
-    blocks = [b[1:] for b in _chain_blocks(spec.lambda_, spec.alpha, t_len, rng)]
+    # Every in-horizon appearance is laid out at once, in several arrays.
+    _require_layout(spec.lambda_ * t_len / (1.0 - spec.alpha), "chain appearances")
+    blocks = [b[1:3] for b in _chain_blocks(spec.lambda_, spec.alpha, t_len, rng)]
     births, lengths = map(np.concatenate, zip(*blocks))
     # Each individual is alive at the consecutive steps [birth, birth + length).
     total = int(lengths.sum())

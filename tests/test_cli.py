@@ -353,6 +353,18 @@ class TestWorkBound:
         assert str(1 << 24) in res.stderr
         assert not (tmp_path / "x.csv").exists()
 
+    def test_long_appendix_trace_is_input_error(self, tmp_path):
+        # The worked example's first block is small, but 1e8 steps would lay
+        # out about 3.4e8 appearances at once.
+        spec = write_spec(tmp_path, EXAMPLE_SPEC)
+        res = subprocess.run([sys.executable, "-m", "inarq", "appendix", spec, "--t", "100000000",
+                              "--out", str(tmp_path / "x.csv")],
+                             capture_output=True, text=True, preexec_fn=limit_memory)
+        assert res.returncode == 2, res.stderr[-300:]
+        assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
+        assert str(1 << 24) in res.stderr
+        assert not (tmp_path / "x.csv").exists()
+
     def test_oversized_oracle_is_input_error(self, tmp_path):
         # This spec passes the first-block bound, but the enumeration oracle of
         # its class would hold 11909 latent states; check rejects it before
@@ -372,6 +384,31 @@ class TestWorkBound:
                               "--out", str(tmp_path / "x.csv")],
                              capture_output=True, text=True, preexec_fn=limit_memory)
         assert res.returncode == 0, res.stderr[-300:]
+
+
+class TestParser:
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        from inarq.cli import build_parser, main
+
+        spec = write_spec(tmp_path, EXAMPLE_SPEC)
+        out = tmp_path / "x.csv"
+        assert main(["transform", spec, "--to", "canonical"]) == 0
+        canonical = json.loads(capsys.readouterr().out)
+        assert canonical == {"lambda": 1.62, "alpha": 0.52, "q": 0.33}
+        with pytest.raises(SystemExit) as exc:  # an argparse error: --t is required
+            main(["simulate", spec, "--out", str(out)])
+        assert exc.value.code == 2 and "--t" in capsys.readouterr().err
+        # A different subcommand after the error parses with its own defaults.
+        assert main(["simulate", spec, "--t", "50", "--out", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out)["n"] == 50
+        assert out.read_text().count("\n") == 51
+        assert main(["expand", spec]) == 0
+        assert capsys.readouterr().out == "i,alpha_i\n1,0.52\n"
+        assert build_parser() is build_parser()
+        # The cached parser, after all of that, parses as a fresh one does.
+        for argv in (["simulate", spec, "--t", "50", "--out", str(out)], ["expand", spec]):
+            fresh = build_parser.__wrapped__()
+            assert vars(build_parser().parse_args(argv)) == vars(fresh.parse_args(argv))
 
 
 class TestStrictJson:

@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -27,6 +28,9 @@ from inarq.processes import (
     _CSV_CHUNK_ROWS,
     _chain_blocks,
     _chain_series,
+    _class_lengths,
+    _count_chains,
+    _dense_classes,
     _MAX_BLOCK_APPEARANCES,
     _require_block_size,
     _require_geom_block_size,
@@ -188,6 +192,22 @@ class TestBlockBound:
             simulate_individual_level(Inar1Spec(2e6, 0.9), ReportingSpec(q=0.5), 10, RngStream(1))
 
 
+    def test_individual_level_bounds_the_whole_trace(self, monkeypatch):
+        # Every in-horizon appearance is laid out, about lambda * t / (1 - alpha):
+        # a long trace is rejected before any draw, even when its first block
+        # (lambda / (1 - alpha) appearances here) is small.
+        def no_simulation(*args):
+            raise AssertionError("simulated before bounding the trace")
+
+        monkeypatch.setattr(processes, "_chain_blocks", no_simulation)
+        spec, rep = Inar1Spec(LAM, ALPHA), ReportingSpec(q=Q)
+        at_bound = _MAX_BLOCK_APPEARANCES * (1 - ALPHA) / LAM
+        with pytest.raises(AssertionError, match="before bounding"):
+            simulate_individual_level(spec, rep, int(at_bound * 0.999), RngStream(1))
+        with pytest.raises(ParameterError, match=str(_MAX_BLOCK_APPEARANCES)):
+            simulate_individual_level(spec, rep, int(at_bound * 1.001), RngStream(1))
+
+
 class TestCsvAgainstReference:
     """Every CSV writer against a per-row f-string formatter, byte for byte."""
 
@@ -265,18 +285,24 @@ class TestInar1:
         reseed_once(check, 11, 12)
 
     @pytest.mark.parametrize("lam, t_len, seeds", [
-        (20.0, 50_000, (13, 14)),  # about 30 blocks of 1638 steps
-        (5e4, 1_000, (15, 16)),  # one step per block
+        (20.0, 50_000, (13, 14)),  # as chains: about 30 blocks of 1638 steps
+        (5e4, 1_000, (15, 16)),  # as chains: one step per block
     ], ids=["many_steps_per_block", "one_step_per_block"])
-    def test_block_arrival_draw_is_iid_poisson(self, reseed_once, lam, t_len, seeds):
+    @pytest.mark.parametrize("as_counts", [True, False], ids=["class_counts", "chains"])
+    def test_block_arrival_draw_is_iid_poisson(self, reseed_once, lam, t_len, seeds, as_counts):
         # A block's Poisson(lam * width) immigrants land on uniform steps of it,
         # which must leave the per-step counts iid Poisson(lam) across blocks.
+        # simulate_inar1 draws this dense class as per-step counts; the
+        # gap-layout path draws the same class as chains.
         bins = 10
         edges = sps.poisson.ppf(np.arange(1, bins) / bins, lam)
         probs = np.diff(np.concatenate(([0.0], sps.poisson.cdf(edges, lam), [1.0])))
 
         def check(seed):
-            s = simulate_inar1(Inar1Spec(lam, 0.0), t_len, RngStream(seed)).values
+            if as_counts:
+                s = simulate_inar1(Inar1Spec(lam, 0.0), t_len, RngStream(seed)).values
+            else:
+                s, _ = _run_chains(lam, 0.0, unit_gaps_by_draw, t_len, RngStream(seed))
             observed = np.bincount(np.searchsorted(edges, s), minlength=bins)
             stat = float(((observed - t_len * probs) ** 2 / (t_len * probs)).sum())
             assert sps.chi2.sf(stat, bins - 1) >= 0.0027, stat
@@ -390,17 +416,35 @@ def unit_gaps_by_draw(k):
     return np.ones(k, dtype=np.int64)
 
 
+def as_chains(blocks):
+    """``blocks`` with their per-step class counts laid out as chains."""
+    for t0, arrivals, lengths, hist in blocks:
+        k, s = np.indices(hist.shape)
+        n = hist.ravel()
+        yield (t0, np.concatenate((arrivals, np.repeat(t0 + s.ravel(), n))),
+               np.concatenate((lengths, np.repeat(k.ravel() + 1, n))), hist[:0])
+
+
 class TestChainKernel:
     @pytest.mark.parametrize("lam, rho, steps", [
         (LAM, ALPHA, 1),
         (20.0, 0.5, 50_000),  # many blocks
         (LAM, 0.95, 400),  # chains of 20 steps on average, many past the horizon
-    ], ids=["one_step", "many_blocks", "past_horizon"])
+        (2e3, 0.9, 300),  # 40 classes drawn as per-step counts
+    ], ids=["one_step", "many_blocks", "past_horizon", "dense_classes"])
     def test_unit_gap_counting_matches_layout(self, lam, rho, steps):
-        # Chains under way at step 0, as the stationary start puts them.
-        under_way = np.zeros(RngStream(7).generator.poisson(lam * rho / (1 - rho)), np.int64)
-        runs = [_run_chains(lam, rho, draw, steps, RngStream(3), under_way)
-                for draw in (_unit_gaps, unit_gaps_by_draw)]
+        # Chains under way at step 0, as the stationary start puts them: the
+        # dense classes as counts at step 0, the others as chains.
+        rng, skip = RngStream(7), _dense_classes(lam, rho)
+        counts = rng.generator.poisson(lam * rho ** np.arange(1, skip + 1))
+        # and one chain certain to run past the horizon
+        lengths = np.append(_class_lengths(lam * rho / (1 - rho), rho, skip, rng), steps + 1)
+        under_way = (np.zeros(lengths.size, np.int64), lengths, counts)
+        # The same chains for both counters: the unit-gap path's per-step class
+        # counts, laid out as chains for the other.
+        blocks = list(_chain_blocks(lam, rho, steps, RngStream(3), under_way, dense=True))
+        runs = [_count_chains(blocks, _unit_gaps, steps),
+                _count_chains(as_chains(blocks), unit_gaps_by_draw, steps)]
         (counted, counted_stats), (laid_out, laid_out_stats) = runs
         assert counted.tobytes() == laid_out.tobytes()
         assert counted_stats == laid_out_stats
@@ -410,16 +454,27 @@ class TestChainKernel:
 
     @pytest.mark.parametrize("lam, steps", [(20.0, 50_000), (5e4, 5)],
                              ids=["many_steps_per_block", "one_step_per_block"])
-    def test_each_block_draws_its_arrivals_inside_it(self, lam, steps):
-        under_way = np.array([0, 3, 8], dtype=np.int64)  # may lie past the first block
-        blocks = list(_chain_blocks(lam, 0.5, steps, RngStream(9), under_way))
-        starts = [t0 for t0, _, _ in blocks]
-        assert starts == list(range(0, steps, starts[1])) and starts[-1] < steps
-        for (t0, arrivals, lengths), end in zip(blocks, starts[1:] + [steps]):
-            own = arrivals[under_way.size:] if t0 == 0 else arrivals
+    @pytest.mark.parametrize("dense", [False, True], ids=["chains", "class_counts"])
+    def test_each_block_draws_its_arrivals_inside_it(self, lam, steps, dense):
+        # Arrivals may lie past the first block; two step-0 counts of the
+        # dense classes when there are any.
+        counts = np.array([4, 1][: _dense_classes(lam, 0.5) if dense else 0], dtype=np.int64)
+        under_way = (np.array([0, 3, 8]), np.array([2, 1, 5]), counts)
+        blocks = list(_chain_blocks(lam, 0.5, steps, RngStream(9), under_way, dense))
+        starts = [t0 for t0, _, _, _ in blocks]
+        width = starts[1] if len(starts) > 1 else steps  # a dense spec's blocks are wide
+        assert starts == list(range(0, steps, width)) and starts[-1] < steps
+        for (t0, arrivals, lengths, hist), end in zip(blocks, starts[1:] + [steps]):
+            own = arrivals[3:] if t0 == 0 else arrivals
             assert (t0 <= own).all() and (own < end).all()
             assert arrivals.shape == lengths.shape and (lengths >= 1).all()
-        assert np.array_equal(blocks[0][1][: under_way.size], under_way)
+            # per-step counts of the dense classes, one column per step of the block
+            assert hist.shape == (_dense_classes(lam, 0.5) if dense else 0, end - t0)
+            assert (hist >= 0).all()
+        assert np.array_equal(blocks[0][1][:3], under_way[0])
+        assert np.array_equal(blocks[0][2][:3], under_way[1])
+        if dense:
+            assert (blocks[0][3][: counts.size, 0] >= counts).all()
 
     @pytest.mark.parametrize("t_len, burn_in", [(1, 0), (1, 9), (3_000, 500)])
     def test_first_order_series_count_chains_as_intervals(self, monkeypatch, t_len, burn_in):
@@ -487,6 +542,119 @@ class TestChainKernel:
         reseed_once(check, 161, 162)
 
 
+class CountingGenerator:
+    """A numpy Generator that counts the calls of each method and the values they return."""
+
+    def __init__(self, generator):
+        self._generator = generator
+        self.calls, self.values = collections.Counter(), collections.Counter()
+
+    def __getattr__(self, name):
+        method = getattr(self._generator, name)
+
+        def counted(*args, **kwargs):
+            out = method(*args, **kwargs)
+            self.calls[name] += 1
+            self.values[name] += np.size(out)
+            return out
+
+        return counted
+
+
+def counting_stream(seed):
+    rng = RngStream(seed)
+    rng.generator = CountingGenerator(rng.generator)
+    return rng
+
+
+class TestClassDraw:
+    """Chains drawn by length class: the length law, the draws they cost and
+    the moments of high-rate series."""
+
+    @pytest.mark.parametrize("rho, seeds", [
+        (0.0, (301, 302)),
+        (0.5, (303, 304)),
+        (0.9, (305, 306)),
+        (0.999, (307, 308)),
+    ])
+    @pytest.mark.parametrize("dense", [False, True], ids=["chains", "class_counts"])
+    def test_lengths_are_geometric(self, reseed_once, rho, seeds, dense):
+        # Every chain's length, whether drawn as an explicit class, in the tail
+        # past the last one or as a per-step class count, against the exact
+        # Geom(1 - rho) pmf: a chi-square test at the 0.1% level, over the
+        # lengths expecting at least 5 chains and one bin for the rest. Given
+        # their total, the class counts are multinomial, so the test
+        # conditions on it. With dense = True, lambda = 50 puts the first
+        # classes into per-step counts (rho <= 0.9) and fills blocks with
+        # 32768 chains, so rho = 0.999 draws about 1200 explicit classes.
+        lam, steps = 50.0, 2_000
+
+        def check(seed):
+            observed = np.zeros(1, dtype=np.int64)
+            for _, _, lengths, hist in _chain_blocks(lam, rho, steps, RngStream(seed),
+                                                       dense=dense):
+                per_class = np.concatenate(([0], hist.sum(axis=1)))
+                counts = np.bincount(lengths, minlength=per_class.size)
+                counts[: per_class.size] += per_class
+                observed = np.pad(observed, (0, max(0, counts.size - observed.size)))
+                observed[: counts.size] += counts
+            n = int(observed.sum())
+            assert abs(n - lam * steps) <= 4 * math.sqrt(lam * steps)
+            if rho == 0.0:  # Geom(1) is one point
+                assert observed[1] == n
+                return
+            pmf = sps.geom.pmf(np.arange(1, observed.size), 1 - rho)
+            bins = int(np.argmax(n * pmf < 5)) if (n * pmf < 5).any() else pmf.size
+            expected = np.append(n * pmf[:bins], n * sps.geom.sf(bins, 1 - rho))
+            got = np.append(observed[1 : bins + 1], observed[bins + 1 :].sum())
+            stat = float(((got - expected) ** 2 / expected).sum())
+            assert sps.chi2.sf(stat, bins) >= 0.001, (stat, bins)
+
+        reseed_once(check, *seeds)
+
+    def test_high_rate_draws_grow_with_log_rate(self):
+        # lambda = 2e5 immigrants per step for 100 steps, plus 2e5 under way:
+        # 2e7 chains, but each class expecting several chains per step is one
+        # count per step, so the values drawn are O(T * log(lambda)).
+        rng = counting_stream(11)
+        series = simulate_inar1(Inar1Spec(2e5, 0.5), 100, rng)
+        drawn = sum(rng.generator.values.values())
+        assert drawn <= 2 * 100 * math.log2(2e5), rng.generator.values
+        assert abs(series.values.mean() - 4e5) <= 4 * math.sqrt(4e5 / 100 * 3)
+
+    @pytest.mark.parametrize("gaps", [_unit_gaps, unit_gaps_by_draw],
+                             ids=["intervals", "layout"])
+    def test_slow_decay_draws_at_most_one_length_value_per_chain(self, gaps):
+        # rho = 0.999: blocks expect few chains per class, so explicit classes
+        # stay few; every length value beyond the block's Poisson count is a
+        # chain's (its tail length), never a class expecting under one chain.
+        rng = counting_stream(12)
+        _, stats = _run_chains(1.62, 0.999, gaps, 5_000, rng)
+        values, calls = rng.generator.values, rng.generator.calls
+        blocks = calls["integers"]  # one arrival draw per block
+        assert values["poisson"] + values["random"] <= stats["chains"] + blocks, (values, stats)
+
+    @pytest.mark.parametrize("lam, t_len, seeds", [
+        (2e3, 20_000, (311, 312)),
+        (2e5, 10_000, (313, 314)),
+    ])
+    def test_high_rate_moments(self, reseed_once, lam, t_len, seeds):
+        # Mean lambda / (1 - alpha), a Poisson marginal (variance = mean) and
+        # lag-1 autocorrelation alpha, each within 3 batch-means standard
+        # errors (50 batches).
+        alpha = 0.5
+        mean = lam / (1 - alpha)
+
+        def check(seed):
+            s = simulate_inar1(Inar1Spec(lam, alpha), t_len, RngStream(seed)).values
+            assert abs(s.mean() - mean) <= 3 * batch_se(s)
+            variances = s.astype(float).reshape(50, -1).var(axis=1, ddof=1)
+            assert abs(s.var(ddof=1) - mean) <= 3 * variances.std(ddof=1) / math.sqrt(50)
+            assert abs(acf(s) - alpha) <= 3 * batch_acf_se(s)
+
+        reseed_once(check, *seeds)
+
+
 class TestStationaryStart:
     """Every series simulator starts in its stationary law, with no burn-in."""
 
@@ -497,12 +665,14 @@ class TestStationaryStart:
         [
             (lambda r: simulate_inar1(Inar1Spec(LAM, ALPHA), 4, r), [ALPHA], STATIONARY_MEAN,
              (181, 182)),
+            # two classes drawn as per-step counts, their step-0 chains too
+            (lambda r: simulate_inar1(Inar1Spec(20.0, 0.5), 4, r), [0.5], 40.0, (183, 184)),
             (lambda r: simulate_inar_p(InarPSpec(LAM, (0.3, 0.15, 0.07)), 4, r),
              [0.3, 0.15, 0.07], LAM / 0.48, (191, 192)),
             (lambda r: simulate_inar_inf(GeomInarSpec(20.0, 0.3, 0.4), 4, r),
              [0.3 * 0.4 ** (i - 1) for i in range(1, 4)], 20.0 * 0.6 / 0.3, (201, 202)),
         ],
-        ids=["inar1", "inar_p", "geom_inf"],
+        ids=["inar1", "inar1_dense", "inar_p", "geom_inf"],
     )
     def test_first_steps_have_the_stationary_law(self, reseed_once, simulate, weights, mean,
                                                    seeds):
@@ -727,8 +897,8 @@ class TestTracePathwiseIdentities:
         # observation draw, so replaying the kernel on the same stream recovers
         # every individual's birth and lifetime, in record order.
         blocks = list(_chain_blocks(LAM, ALPHA, t_len, RngStream(121)))
-        births = np.concatenate([b for _, b, _ in blocks])
-        lifetimes = np.concatenate([n for _, _, n in blocks])
+        births = np.concatenate([b for _, b, _, _ in blocks])
+        lifetimes = np.concatenate([n for _, _, n, _ in blocks])
         assert np.array_equal(trace.births, births)
         assert np.array_equal(trace.deaths, births + lifetimes)  # never clipped
         assert (trace.deaths > t_len).any()
