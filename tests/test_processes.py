@@ -284,11 +284,13 @@ class TestInar1:
 
         reseed_once(check, 11, 12)
 
-    @pytest.mark.parametrize("lam, t_len, seeds", [
-        (20.0, 50_000, (13, 14)),  # as chains: about 30 blocks of 1638 steps
-        (5e4, 1_000, (15, 16)),  # as chains: one step per block
-    ], ids=["many_steps_per_block", "one_step_per_block"])
-    @pytest.mark.parametrize("as_counts", [True, False], ids=["class_counts", "chains"])
+    @pytest.mark.parametrize("lam, t_len, seeds, as_counts", [
+        (20.0, 50_000, (13, 14), True),
+        (5e4, 1_000, (15, 16), True),
+        (20.0, 50_000, (17, 18), False),  # about 30 blocks of 1638 steps
+        (5e4, 1_000, (19, 20), False),  # one step per block
+    ], ids=["many_steps_per_block", "one_step_per_block",
+            "many_steps_per_block_as_chains", "one_step_per_block_as_chains"])
     def test_block_arrival_draw_is_iid_poisson(self, reseed_once, lam, t_len, seeds, as_counts):
         # A block's Poisson(lam * width) immigrants land on uniform steps of it,
         # which must leave the per-step counts iid Poisson(lam) across blocks.
@@ -452,9 +454,10 @@ class TestChainKernel:
             assert stats["appearances"] == int(out.sum()) + stats["beyond"]
         assert counted_stats["beyond"] > 0
 
-    @pytest.mark.parametrize("lam, steps", [(20.0, 50_000), (5e4, 5)],
-                             ids=["many_steps_per_block", "one_step_per_block"])
-    @pytest.mark.parametrize("dense", [False, True], ids=["chains", "class_counts"])
+    @pytest.mark.parametrize("lam, steps, dense", [
+        (20.0, 50_000, False), (5e4, 5, False), (20.0, 50_000, True), (5e4, 5, True),
+    ], ids=["many_steps_per_block", "one_step_per_block",
+            "many_steps_per_block_class_counts", "one_step_per_block_class_counts"])
     def test_each_block_draws_its_arrivals_inside_it(self, lam, steps, dense):
         # Arrivals may lie past the first block; two step-0 counts of the
         # dense classes when there are any.
