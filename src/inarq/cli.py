@@ -21,10 +21,12 @@ from .equivalence import (
     equivalence_curve,
     expand_lags,
     shift_reporting,
+    simulation_route,
     write_curve_csv,
 )
 from .errors import AdmissibleRangeError, InarError, ParameterError, UnsupportedMechanismError
 from .processes import (
+    CountSeries,
     GeomInarSpec,
     Inar1Spec,
     ReportingSpec,
@@ -124,15 +126,26 @@ def _require_homogeneous(reporting: ReportingSpec, what: str) -> None:
         )
 
 
+def _draw_class(model: UnderreportedModel, args, draw: RngStream, thin: RngStream) -> CountSeries:
+    """A series with the observed law of ``model``: the class member that
+    :func:`simulation_route` picks, drawn on ``draw`` and thinned on ``thin``."""
+    spec, q = simulation_route(model)
+    simulate = simulate_inar1 if isinstance(spec, Inar1Spec) else simulate_inar_inf
+    series = simulate(spec, args.t, draw, burn_in=args.burn_in)
+    return series if q == 1.0 else apply_reporting(series, ReportingSpec(q=q), thin)
+
+
 def cmd_simulate(args) -> int:
-    model, reporting, kind = load_model_file(args.spec)
+    model, reporting, _ = load_model_file(args.spec)
     stream = RngStream(args.seed)
-    if kind == "inar1":
-        spec = Inar1Spec(model.latent.lambda_, model.latent.beta)
-        latent = simulate_inar1(spec, args.t, stream.substream(0), burn_in=args.burn_in)
+    draw, report = stream.substream(0), stream.substream(1)
+    if reporting.omega == 1.0:
+        observed = _draw_class(model, args, draw, report)
     else:
-        latent = simulate_inar_inf(model.latent, args.t, stream.substream(0), burn_in=args.burn_in)
-    observed = apply_reporting(latent, reporting, stream.substream(1))
+        # Only some steps are thinned, so the latent series itself is drawn,
+        # from its own class, and then reported.
+        latent = _draw_class(UnderreportedModel(model.latent, 1.0), args, draw, draw)
+        observed = apply_reporting(latent, reporting, report)
     write_series_csv(observed, args.out)
 
     vals = observed.values.astype(float)

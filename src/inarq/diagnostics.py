@@ -29,6 +29,7 @@ from .processes import (
     PopulationTrace,
     ReportingSpec,
     _require_geom_block_size,
+    _require_steps,
     apply_reporting,
     simulate_inar_inf,
 )
@@ -407,7 +408,9 @@ def equivalence_mc_test(
         raise ParameterError(f"t_len must be at least 10000, got {t_len}")
     if reps < 1:
         raise ParameterError(f"reps must be at least 1, got {reps}")
-    # Bound the simulations' working arrays, then the oracle's tables, before any draw.
+    # Bound the simulations' steps and working arrays, then the oracle's
+    # tables, before any draw.
+    _require_steps(reps * t_len, "reps times series length")
     for model in (m1, m2):
         _require_geom_block_size(model.latent)
     c1, c2 = canonicalize(m1), canonicalize(m2)
@@ -514,8 +517,9 @@ def _settle_window(decay: float, horizon: int) -> int:
 
 
 def _mean_check(name: str, values: np.ndarray, target: float) -> CheckResult:
+    se = batch_means_se(values)  # first: it rejects a series too short (or empty) to average
     est = float(values.mean())
-    z = _z_score(est, target, batch_means_se(values))
+    z = _z_score(est, target, se)
     return CheckResult(name, target, est, z, None, _within_z_limit(z))
 
 
@@ -642,7 +646,8 @@ def individual_level_checks(
         bb = _batches(seen_again).sum(axis=1)
         ratios = bb[bx > 0] / bx[bx > 0]
         est = float(seen_again.sum() / x_obs.sum())
-        se = float(ratios.std(ddof=1) / math.sqrt(ratios.size))
+        # One ratio has no spread to estimate: the z-score is then undefined.
+        se = float(ratios.std(ddof=1) / math.sqrt(ratios.size)) if ratios.size > 1 else math.nan
         z = _z_score(est, target_frac, se)
         checks.append(CheckResult(
             "reobservation_fraction", target_frac, est, z, None, _within_z_limit(z),

@@ -219,6 +219,10 @@ _DENSE_CLASS_CHAINS = 3.0
 # below a mean of 10 numpy's Poisson sampler multiplies about mean + 1
 # uniforms, no fewer than the chains' own geometric draws would take.
 _CLASS_CHAINS = 10.0
+# Most steps a simulation may run, burn-in included, or equivalence_mc_test
+# may draw over all its replicates: 33 times a 2e6-step series, and a count
+# array of 0.5 GB.
+_MAX_STEPS = 1 << 26
 # No chains under way at step 0: (arrival steps, lengths, step-0 class counts).
 _NO_CHAINS = (np.zeros(0, dtype=np.int64),) * 3
 
@@ -348,6 +352,13 @@ def _require_layout(expected: float, what: str) -> None:
         )
 
 
+def _require_steps(steps: int, what: str) -> None:
+    if steps > _MAX_STEPS:
+        raise ParameterError(
+            f"{what} is {steps} steps, more than the bound {_MAX_STEPS}"
+        )
+
+
 def _require_block_size(lam: float, rho: float, reach: float, as_intervals: bool) -> None:
     """Reject a spec whose first block would lay out too many chains or appearances.
 
@@ -440,6 +451,7 @@ def _chain_series(lam, rho, reach, gap_draw, residual_draw, t_len, burn_in, rng,
         raise ParameterError(f"series length must be at least 1, got {t_len}")
     if burn_in < 0:
         raise ParameterError(f"burn-in must be nonnegative, got {burn_in}")
+    _require_steps(t_len + burn_in, "series length plus burn-in")
     unit = gap_draw is _unit_gaps
     _require_block_size(lam, rho, reach, unit)
     mean = lam / (1.0 - rho) * reach
@@ -724,6 +736,7 @@ def simulate_individual_level(
         raise ParameterError(f"series length must be at least 1, got {t_len}")
     # Every in-horizon appearance is laid out at once, in several arrays.
     _require_layout(spec.lambda_ * t_len / (1.0 - spec.alpha), "chain appearances")
+    _require_steps(t_len, "trace length")
     blocks = [b[1:3] for b in _chain_blocks(spec.lambda_, spec.alpha, t_len, rng)]
     births, lengths = map(np.concatenate, zip(*blocks))
     # Each individual is alive at the consecutive steps [birth, birth + length).

@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from inarq.processes import _MAX_STEPS
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 EXAMPLE_SPEC = {
@@ -353,6 +355,26 @@ class TestWorkBound:
         assert str(1 << 24) in res.stderr
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("command, spec_doc, args", [
+        ("simulate", EXAMPLE_SPEC, ("--t", str(10**11))),
+        ("simulate", EXAMPLE_SPEC, ("--t", "10", "--burn-in", str(10**11))),
+        ("appendix", {"latent": {"kind": "inar1", "lambda": 1e-9, "alpha": 0.5}},
+         ("--t", str(10**11))),
+        ("check", EXAMPLE_SPEC, ("--t", str(10**11), "--reps", "1")),
+        ("check", EXAMPLE_SPEC, ("--t", "10000", "--reps", str(10**8))),
+    ], ids=["simulate_t", "simulate_burn_in", "appendix_sparse_t", "check_t", "check_reps"])
+    def test_step_count_is_input_error(self, tmp_path, command, spec_doc, args):
+        spec = write_spec(tmp_path, spec_doc)
+        out = tmp_path / "x.csv"
+        operands = (spec, write_spec(tmp_path, IMAGE_SPEC, "image.json")) if command == "check" \
+            else (spec, "--out", str(out))
+        res = subprocess.run([sys.executable, "-m", "inarq", command, *operands, *args],
+                             capture_output=True, text=True, preexec_fn=limit_memory, timeout=60)
+        assert res.returncode == 2, res.stderr[-300:]
+        assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
+        assert f"more than the bound {_MAX_STEPS}" in res.stderr
+        assert res.stdout == "" and not out.exists()
+
     def test_long_appendix_trace_is_input_error(self, tmp_path):
         # The worked example's first block is small, but 1e8 steps would lay
         # out about 3.4e8 appearances at once.
@@ -466,3 +488,163 @@ class TestDeterminism:
             res = run_cli("appendix", spec, "--t", "3000", "--seed", "13", "--out", str(out))
             outs.append((res.stdout, out.read_bytes()))
         assert outs[0] == outs[1]
+
+
+# One spec per simulate route; DENSE_SPEC is the benchmark's omega < 1 spec.
+DENSE_SPEC = {"latent": {"kind": "geom_inf", "lambda": 20.0, "beta": 0.3, "gamma": 0.4},
+              "reporting": {"q": 0.5, "omega": 0.8}}
+THINNED_DENSE_SPEC = {"latent": {"kind": "geom_inf", "lambda": 10.0, "beta": 0.5, "gamma": 0.2},
+                      "reporting": {"q": 0.9}}
+IID_SPEC = {"latent": {"kind": "geom_inf", "lambda": 3.0, "beta": 0.0, "gamma": 0.5},
+            "reporting": {"q": 0.4}}
+
+
+# Law tests of simulate output: counts LAW_SPACING steps apart are close to
+# independent for every spec below (the lag-40 autocorrelation is at most
+# 0.7**40, about 6e-7), so their class counts are multinomial and each
+# chi-square test has level LAW_LEVEL.
+LAW_T, LAW_SPACING, LAW_LEVEL = 200_000, 40, 1e-3
+
+
+def chi_square_p(observed, probs):
+    from scipy import stats as sps
+
+    expected = probs / probs.sum() * observed.sum()
+    assert expected.min() >= 5.0, expected
+    stat = float(((observed - expected) ** 2 / expected).sum())
+    return float(sps.chi2.sf(stat, observed.size - 1))
+
+
+def law_p_values(values, joint):
+    """p-values of chi-square tests of the marginal law (in up to 10 classes of
+    about equal mass) and of the lag-1 pair law (4 x 4 classes) of ``values``
+    against the pair pmf ``joint``, on counts ``LAW_SPACING`` steps apart."""
+    pmf = joint.sum(axis=1)
+
+    def classes(m):
+        edges = np.unique(np.searchsorted(np.cumsum(pmf), np.arange(1, m) / m) + 1)
+        return edges, np.concatenate(([0], edges))
+
+    starts = np.arange(0, values.size - LAW_SPACING, LAW_SPACING)
+    edges, bounds = classes(10)
+    seen = np.bincount(np.searchsorted(edges, values[starts + LAW_SPACING // 2], side="right"),
+                       minlength=edges.size + 1)
+    p_marginal = chi_square_p(seen, np.add.reduceat(pmf, bounds))
+    edges, bounds = classes(4)
+    a, b = (np.searchsorted(edges, values[starts + k], side="right") for k in (0, 1))
+    k = edges.size + 1
+    seen = np.bincount(a * k + b, minlength=k * k)
+    cells = np.add.reduceat(np.add.reduceat(joint, bounds, axis=0), bounds, axis=1)
+    return p_marginal, chi_square_p(seen, cells.ravel())
+
+
+def observed_pair_law(doc):
+    """Exact stationary law of two consecutive observed counts of a spec, from
+    the enumeration oracle of its class's canonical form. Under omega < 1 the
+    latent pair law is that of the latent class, and each count of a pair is
+    then reported whole with probability 1 - omega, independently."""
+    from inarq import CanonicalForm, canonicalize, joint_pmf_oracle
+    from inarq.diagnostics import _binomial_table
+    from inarq.equivalence import UnderreportedModel
+
+    model = spec_model(doc)
+    omega = doc.get("reporting", {}).get("omega", 1.0)
+    if omega < 1.0:
+        model = UnderreportedModel(model.latent, 1.0)
+    if model.latent.beta == 0.0:  # i.i.d. Poisson with the observed mean
+        canon = CanonicalForm(model.observed_mean, 0.0, 1.0)
+    else:
+        canon = canonicalize(model)
+    joint = joint_pmf_oracle(canon.as_model())
+    if omega == 1.0:
+        return joint
+    q = doc["reporting"]["q"]
+    report = (1.0 - omega) * np.eye(joint.shape[0]) + omega * _binomial_table(q, joint.shape[0] - 1)
+    return report.T @ joint @ report
+
+
+def spec_model(doc):
+    from inarq.equivalence import UnderreportedModel
+    from inarq.processes import GeomInarSpec
+
+    lat = doc["latent"]
+    beta = lat.get("alpha", lat.get("beta"))
+    return UnderreportedModel(GeomInarSpec(lat["lambda"], beta, lat.get("gamma", 0.0)),
+                              doc.get("reporting", {}).get("q", 1.0))
+
+
+class TestSimulateRoute:
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        """The kernels `simulate` reaches through inarq.cli's names, in call order,
+        each with the spec (or reporting spec) it was given."""
+        from inarq import cli
+
+        calls = []
+        for name in ("simulate_inar1", "simulate_inar_inf", "apply_reporting"):
+            def spy(*args, _real=getattr(cli, name), _name=name, **kwargs):
+                calls.append((_name, args[1] if _name == "apply_reporting" else args[0]))
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, spy)
+        return calls
+
+    def simulate(self, tmp_path, doc, t_len=100, seed=1):
+        from inarq.cli import main
+
+        out = tmp_path / "x.csv"
+        argv = ["simulate", write_spec(tmp_path, doc), "--t", str(t_len), "--seed", str(seed),
+                "--out", str(out)]
+        assert main(argv) == 0
+        return np.loadtxt(out, delimiter=",", skiprows=1, dtype=np.int64)[:, 1]
+
+    def test_each_spec_reaches_its_kernels(self, tmp_path, kernel_calls, capsys):
+        from inarq import Inar1Spec, ReportingSpec, canonicalize, shift_reporting
+        from inarq.equivalence import UnderreportedModel
+
+        worked, iid = spec_model(EXAMPLE_SPEC), spec_model(IID_SPEC)
+        dense = canonicalize(UnderreportedModel(spec_model(DENSE_SPEC).latent, 1.0))
+        thinned = canonicalize(spec_model(THINNED_DENSE_SPEC))
+        assert (dense.lambda_star, dense.alpha_star) == pytest.approx((28.0, 0.7))
+        expected = [
+            # Image mean 1.1: the image, laid out by gaps, with no thinning.
+            (EXAMPLE_SPEC, [("simulate_inar_inf", shift_reporting(worked, 1.0).latent)]),
+            (IMAGE_SPEC, [("simulate_inar_inf", spec_model(IMAGE_SPEC).latent)]),
+            # Latent mean 40 under omega < 1: the latent class's canonical form,
+            # thinned once into the latent series, then the spec's own reporting.
+            (DENSE_SPEC, [("simulate_inar1", Inar1Spec(dense.lambda_star, dense.alpha_star)),
+                          ("apply_reporting", ReportingSpec(q=dense.q_star)),
+                          ("apply_reporting", ReportingSpec(q=0.5, omega=0.8))]),
+            # Observed mean 24: the canonical form and one thinning by q_star.
+            (THINNED_DENSE_SPEC, [
+                ("simulate_inar1", Inar1Spec(thinned.lambda_star, thinned.alpha_star)),
+                ("apply_reporting", ReportingSpec(q=thinned.q_star))]),
+            # beta = 0: i.i.d. Poisson with the observed mean, no gap draw.
+            (IID_SPEC, [("simulate_inar1", Inar1Spec(shift_reporting(iid, 1.0).latent.lambda_,
+                                                     0.0))]),
+            # A first-order latent series under omega < 1 is drawn as written.
+            (dict(EXAMPLE_SPEC, reporting={"q": 0.33, "omega": 0.5}), [
+                ("simulate_inar1", Inar1Spec(1.62, 0.52)),
+                ("apply_reporting", ReportingSpec(q=0.33, omega=0.5))]),
+        ]
+        for doc, kernels in expected:
+            kernel_calls.clear()
+            self.simulate(tmp_path, doc)
+            assert kernel_calls == kernels, doc
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("doc, seeds", [
+        (EXAMPLE_SPEC, (901, 902)),
+        (THINNED_DENSE_SPEC, (911, 912)),
+        (DENSE_SPEC, (921, 922)),
+        (IID_SPEC, (931, 932)),
+    ], ids=["image_layout", "canonical_thinned_once", "dense_omega", "iid"])
+    def test_output_has_the_oracle_law(self, tmp_path, reseed_once, capsys, doc, seeds):
+        joint = observed_pair_law(doc)
+
+        def check(seed):
+            p_marginal, p_pairs = law_p_values(self.simulate(tmp_path, doc, LAW_T, seed), joint)
+            assert min(p_marginal, p_pairs) > LAW_LEVEL, (p_marginal, p_pairs)
+
+        reseed_once(check, *seeds)
+        capsys.readouterr()

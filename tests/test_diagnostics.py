@@ -41,6 +41,7 @@ from inarq.diagnostics import (
     _pooled_pmf,
 )
 from inarq.equivalence import canonicalize
+from inarq.processes import _MAX_STEPS
 
 LAM, ALPHA, Q = 1.62, 0.52, 0.33
 EXAMPLE = UnderreportedModel.from_inar1(Inar1Spec(LAM, ALPHA), Q)
@@ -354,6 +355,33 @@ class TestEquivalenceMcTest:
         slow = UnderreportedModel(GeomInarSpec(1.0, 0.0009, 0.999), 1.0)
         with pytest.raises(ParameterError, match="oracle"):
             equivalence_mc_test(slow, slow, 10_000, 1, RngStream(1))
+
+    @pytest.mark.parametrize("t_len, reps", [(10**11, 1), (10_000, 10**8)])
+    def test_step_count_rejected_before_simulating(self, monkeypatch, t_len, reps):
+        def no_simulation(*args):
+            raise AssertionError("simulated before bounding the steps")
+
+        monkeypatch.setattr(diagnostics, "_observed_series", no_simulation)
+        with pytest.raises(ParameterError, match=str(_MAX_STEPS)):
+            equivalence_mc_test(EXAMPLE, IMAGE_MODEL, t_len, reps, RngStream(1))
+
+    def test_draws_each_model_as_written(self, monkeypatch):
+        # The test checks the identity that simulate relies on, so it must not
+        # route through it: the worked model is the first-order latent series
+        # thinned by q, its image the geometric-lag series, unthinned.
+        calls = []
+        for name in ("simulate_inar_inf", "apply_reporting"):
+            def spy(*args, _real=getattr(diagnostics, name), _name=name, **kwargs):
+                calls.append((_name, args[0] if _name == "simulate_inar_inf" else args[1]))
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(diagnostics, name, spy)
+        equivalence_mc_test(EXAMPLE, IMAGE_MODEL, 10_000, 1, RngStream(1))
+        assert calls == [
+            ("simulate_inar_inf", GeomInarSpec(LAM, ALPHA, 0.0)),
+            ("apply_reporting", ReportingSpec(q=Q)),
+            ("simulate_inar_inf", IMAGE_MODEL.latent),
+        ]
 
     def test_report_is_deterministic(self):
         a = equivalence_mc_test(EXAMPLE, IMAGE_MODEL, 10_000, 2, RngStream(211))

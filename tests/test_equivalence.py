@@ -19,6 +19,8 @@ from inarq import (
     shift_reporting,
     split_reporting,
 )
+from inarq.equivalence import LAYOUT_MAX_MEAN, simulation_route
+from inarq.processes import _require_geom_block_size
 
 LAM, ALPHA, Q = 1.62, 0.52, 0.33
 EXAMPLE = UnderreportedModel.from_inar1(Inar1Spec(LAM, ALPHA), Q)
@@ -292,3 +294,76 @@ class TestEquivalenceCurve:
         assert lines[0] == "q_Y,lambda_Y,beta_Y,gamma_Y"
         assert len(lines) == 4
         assert lines[1].startswith("0.33,")
+
+
+class TestSimulationRoute:
+    def test_worked_example_lays_out_its_image(self):
+        spec, q = simulation_route(EXAMPLE)
+        image = shift_reporting(EXAMPLE, 1.0).latent
+        assert spec == image and q == 1.0
+        assert image.stationary_mean <= LAYOUT_MAX_MEAN
+
+    def test_fully_observed_model_is_drawn_as_written(self):
+        image = absorb_reporting(Inar1Spec(LAM, ALPHA), Q)
+        assert simulation_route(UnderreportedModel(image, 1.0)) == (image, 1.0)
+
+    @pytest.mark.parametrize("latent, q", [
+        (GeomInarSpec(20.0, 0.3, 0.4), 1.0),  # mean 40, fully observed
+        (GeomInarSpec(6.0, 0.55, 0.3), 0.9),  # mean 28, thinned
+    ])
+    def test_dense_class_draws_the_canonical_form_thinned_once(self, latent, q):
+        model = UnderreportedModel(latent, q)
+        spec, q_route = simulation_route(model)
+        canon = canonicalize(model)
+        assert shift_reporting(model, 1.0).latent.stationary_mean > LAYOUT_MAX_MEAN
+        assert spec == Inar1Spec(canon.lambda_star, canon.alpha_star)
+        assert q_route == canon.q_star
+
+    def test_thinned_first_order_spec_keeps_its_own_parameters(self):
+        # Above the threshold, the canonical form of an inar1 spec is the spec.
+        model = UnderreportedModel.from_inar1(Inar1Spec(20.0, 0.5), 0.9)
+        assert simulation_route(model) == (Inar1Spec(20.0, 0.5), 0.9)
+
+    @pytest.mark.parametrize("beta, gamma", [(0.0, 0.0), (0.0, 0.5), (0.4, 0.0)])
+    def test_iid_and_first_order_images_count_intervals(self, beta, gamma):
+        spec, q = simulation_route(UnderreportedModel(GeomInarSpec(3.0, beta, gamma), 1.0))
+        assert spec == Inar1Spec(3.0, beta) and q == 1.0
+
+    def test_iid_class_with_decay_needs_no_first_order_form(self):
+        # beta = 0 with gamma > 0 has no canonical form (DegenerateClassError),
+        # but it is i.i.d. Poisson with the observed mean.
+        spec, q = simulation_route(UnderreportedModel(GeomInarSpec(3.0, 0.0, 0.5), 0.4))
+        assert isinstance(spec, Inar1Spec) and spec.alpha == 0.0 and q == 1.0
+        assert close(spec.lambda_, 1.2)
+
+    def test_threshold_on_the_image_mean(self):
+        def at_mean(mean):
+            return UnderreportedModel(GeomInarSpec(mean / 2.0, 0.25, 0.5), 1.0)
+
+        assert isinstance(simulation_route(at_mean(LAYOUT_MAX_MEAN))[0], GeomInarSpec)
+        assert isinstance(simulation_route(at_mean(LAYOUT_MAX_MEAN * 1.01))[0], Inar1Spec)
+
+    def test_undrawable_image_takes_the_canonical_form(self):
+        # Image mean 5, but its first block would lay out about 5e7 appearances;
+        # the first-order form holds about 10 chains.
+        model = UnderreportedModel.from_inar1(Inar1Spec(1e-6, 0.9999999), 0.5)
+        with pytest.raises(ParameterError, match="chain appearances"):
+            _require_geom_block_size(shift_reporting(model, 1.0).latent)
+        assert simulation_route(model) == (Inar1Spec(1e-6, 0.9999999), 0.5)
+
+    def test_unrepresentable_canonical_form_lays_out_the_image(self):
+        # lambda_star = 20 * 0.5 * 0.5 / 1e-300 is past the largest Poisson rate.
+        latent = GeomInarSpec(20.0, 1e-300, 0.5)
+        canon = canonicalize(UnderreportedModel(latent, 1.0))
+        with pytest.raises(ParameterError, match="immigration rate"):
+            Inar1Spec(canon.lambda_star, canon.alpha_star)
+        assert simulation_route(UnderreportedModel(latent, 1.0)) == (latent, 1.0)
+
+    @given(model=models())
+    def test_route_is_a_member_of_the_class(self, model):
+        spec, q = simulation_route(model)
+        latent = spec if isinstance(spec, GeomInarSpec) else GeomInarSpec(spec.lambda_, spec.alpha, 0.0)
+        got, want = canonicalize(UnderreportedModel(latent, q)), canonicalize(model)
+        assert close(got.lambda_star, want.lambda_star, scale=want.lambda_star)
+        assert close(got.alpha_star, want.alpha_star)
+        assert close(got.q_star, want.q_star)

@@ -32,6 +32,7 @@ from inarq.processes import (
     _count_chains,
     _dense_classes,
     _MAX_BLOCK_APPEARANCES,
+    _MAX_STEPS,
     _require_block_size,
     _require_geom_block_size,
     _run_chains,
@@ -181,6 +182,24 @@ class TestBlockBound:
         _require_block_size(at_bound * 0.999, rho, rho, as_intervals)
         with pytest.raises(ParameterError, match=str(_MAX_BLOCK_APPEARANCES)):
             _require_block_size(at_bound * 1.001, rho, rho, as_intervals)
+
+    @pytest.mark.parametrize("simulate, t_len, burn_in", [
+        (lambda t, b: simulate_inar1(Inar1Spec(LAM, ALPHA), t, RngStream(1), burn_in=b), 10**11, 0),
+        (lambda t, b: simulate_inar_inf(IMAGE, t, RngStream(1), burn_in=b), 10, 10**11),
+        (lambda t, b: simulate_inar_p(InarPSpec(LAM, (0.3, 0.2)), t, RngStream(1), burn_in=b),
+         _MAX_STEPS, 1),
+        # A sparse trace passes the appearance bound, but not the step bound.
+        (lambda t, b: simulate_individual_level(Inar1Spec(1e-9, ALPHA), ReportingSpec(q=Q), t,
+                                                RngStream(1)), 10**11, 0),
+    ], ids=["inar1_t", "inar_inf_burn_in", "inar_p_one_past", "individual_level_t"])
+    def test_step_count_is_bounded_before_any_draw(self, monkeypatch, simulate, t_len, burn_in):
+        def no_simulation(*args):
+            raise AssertionError("simulated before bounding the steps")
+
+        monkeypatch.setattr(processes, "_chain_blocks", no_simulation)
+        monkeypatch.setattr(processes, "_class_lengths", no_simulation)
+        with pytest.raises(ParameterError, match=f"more than the bound {_MAX_STEPS}"):
+            simulate(t_len, burn_in)
 
     def test_individual_level_keeps_the_appearance_bound(self, monkeypatch):
         def no_simulation(*args):
