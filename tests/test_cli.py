@@ -7,7 +7,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats as sps
 
+from inarq import (
+    CanonicalForm,
+    GeomInarSpec,
+    Inar1Spec,
+    ReportingSpec,
+    UnderreportedModel,
+    canonicalize,
+    cli,
+    joint_pmf_oracle,
+    shift_reporting,
+)
+from inarq.diagnostics import _binomial_table
 from inarq.processes import _MAX_STEPS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -507,8 +520,6 @@ LAW_T, LAW_SPACING, LAW_LEVEL = 200_000, 40, 1e-3
 
 
 def chi_square_p(observed, probs):
-    from scipy import stats as sps
-
     expected = probs / probs.sum() * observed.sum()
     assert expected.min() >= 5.0, expected
     stat = float(((observed - expected) ** 2 / expected).sum())
@@ -543,10 +554,6 @@ def observed_pair_law(doc):
     the enumeration oracle of its class's canonical form. Under omega < 1 the
     latent pair law is that of the latent class, and each count of a pair is
     then reported whole with probability 1 - omega, independently."""
-    from inarq import CanonicalForm, canonicalize, joint_pmf_oracle
-    from inarq.diagnostics import _binomial_table
-    from inarq.equivalence import UnderreportedModel
-
     model = spec_model(doc)
     omega = doc.get("reporting", {}).get("omega", 1.0)
     if omega < 1.0:
@@ -564,9 +571,6 @@ def observed_pair_law(doc):
 
 
 def spec_model(doc):
-    from inarq.equivalence import UnderreportedModel
-    from inarq.processes import GeomInarSpec
-
     lat = doc["latent"]
     beta = lat.get("alpha", lat.get("beta"))
     return UnderreportedModel(GeomInarSpec(lat["lambda"], beta, lat.get("gamma", 0.0)),
@@ -578,8 +582,6 @@ class TestSimulateRoute:
     def kernel_calls(self, monkeypatch):
         """The kernels `simulate` reaches through inarq.cli's names, in call order,
         each with the spec (or reporting spec) it was given."""
-        from inarq import cli
-
         calls = []
         for name in ("simulate_inar1", "simulate_inar_inf", "apply_reporting"):
             def spy(*args, _real=getattr(cli, name), _name=name, **kwargs):
@@ -590,18 +592,13 @@ class TestSimulateRoute:
         return calls
 
     def simulate(self, tmp_path, doc, t_len=100, seed=1):
-        from inarq.cli import main
-
         out = tmp_path / "x.csv"
         argv = ["simulate", write_spec(tmp_path, doc), "--t", str(t_len), "--seed", str(seed),
                 "--out", str(out)]
-        assert main(argv) == 0
+        assert cli.main(argv) == 0
         return np.loadtxt(out, delimiter=",", skiprows=1, dtype=np.int64)[:, 1]
 
     def test_each_spec_reaches_its_kernels(self, tmp_path, kernel_calls, capsys):
-        from inarq import Inar1Spec, ReportingSpec, canonicalize, shift_reporting
-        from inarq.equivalence import UnderreportedModel
-
         worked, iid = spec_model(EXAMPLE_SPEC), spec_model(IID_SPEC)
         dense = canonicalize(UnderreportedModel(spec_model(DENSE_SPEC).latent, 1.0))
         thinned = canonicalize(spec_model(THINNED_DENSE_SPEC))
