@@ -242,8 +242,9 @@ def cmd_appendix(args) -> int:
     trace = simulate_individual_level(spec, reporting, args.t, RngStream(args.seed))
     base, ext = os.path.splitext(args.out)
     long_path = f"{base}_long{ext or '.csv'}"
-    write_trace_csv(trace, args.out, long_path)
+    # Check first, so an input error from the checks leaves no files behind.
     report = individual_level_checks(trace, spec, reporting.q)
+    write_trace_csv(trace, args.out, long_path)
     print(report.to_json())
     return 0 if report.all_passed else 1
 

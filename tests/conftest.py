@@ -13,11 +13,13 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 
 @pytest.fixture
 def reseed_once():
-    """Retry policy for 3-sigma stochastic checks.
+    """Retry policy for seeded stochastic checks.
 
-    A correctly calibrated check still fails by chance roughly 0.3% of the
-    time per statistic, so a failing check is rerun exactly once at a fixed
-    alternate seed before counting as a real failure.
+    A correctly calibrated check still fails by chance at its stated level
+    (3 standard errors in a test's own assertions, or the verdict's
+    ``diagnostics.LEVEL`` for ``check``/``appendix``), so a failing check is
+    rerun exactly once at a fixed alternate seed before counting as a real
+    failure.
     """
 
     def run(check, primary_seed, alternate_seed):

@@ -1,0 +1,94 @@
+"""False-rejection rates and power of the `check` and `appendix` verdicts.
+
+Each verdict is built to fail on equivalent inputs with probability at most
+``diagnostics.LEVEL``. Over N seeded runs on equivalent inputs the failures
+must stay within LEVEL * N plus three binomial standard deviations, at the
+sizes the commands run at (T = 1e4). The power tests keep the canonical
+forms equal, so only the statistical gates can fail the verdict.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from inarq import (
+    CountSeries,
+    Inar1Spec,
+    ReportingSpec,
+    RngStream,
+    UnderreportedModel,
+    absorb_reporting,
+    equivalence_mc_test,
+    individual_level_checks,
+    simulate_individual_level,
+)
+from inarq import diagnostics
+
+ALPHA, Q = 0.52, 0.33
+T_LEN = 10_000
+
+
+def allowed_rejections(n):
+    level = diagnostics.LEVEL
+    return level * n + 3.0 * math.sqrt(n * level * (1.0 - level))
+
+
+def worked_pair(mean):
+    """The worked family (alpha = 0.52, q = 0.33) at the observed mean
+    ``mean``, and its fully observed image."""
+    spec = Inar1Spec(mean * (1.0 - ALPHA) / Q, ALPHA)
+    return (UnderreportedModel.from_inar1(spec, Q),
+            UnderreportedModel(absorb_reporting(spec, Q), 1.0))
+
+
+# N = 60 seeds per case: at most 2 false rejections.
+@pytest.mark.parametrize("reps", [1, 3])
+@pytest.mark.parametrize("mean", [0.1, 1.1, 8.0, 40.0])
+def test_check_false_rejections(mean, reps):
+    n = 60
+    m1, m2 = worked_pair(mean)
+    failed = [seed for seed in range(40_000, 40_000 + n)
+              if not equivalence_mc_test(m1, m2, T_LEN, reps, RngStream(seed)).passed]
+    assert len(failed) <= allowed_rejections(n), failed
+
+
+def test_appendix_false_rejections():
+    # N = 300 traces: at most 8 false rejections.
+    n = 300
+    spec = Inar1Spec(1.62, ALPHA)
+    failed = []
+    for seed in range(41_000, 41_000 + n):
+        trace = simulate_individual_level(spec, ReportingSpec(q=Q), T_LEN, RngStream(seed))
+        report = individual_level_checks(trace, spec, Q)
+        if not report.all_passed:
+            failed.append((seed, [c.name for c in report.checks if not c.passed]))
+    assert len(failed) <= allowed_rejections(n), failed
+
+
+def iid_poisson(model, t_len, stream):
+    return CountSeries(stream.generator.poisson(1.62 * Q / (1.0 - ALPHA), t_len),
+                       stream.identity, 0, "iid")
+
+
+def faster_decay(model, t_len, stream, _real=diagnostics._observed_series):
+    return _real(UnderreportedModel.from_inar1(Inar1Spec(1.62, 0.56), Q), t_len, stream)
+
+
+@pytest.mark.parametrize("draw", [iid_poisson, faster_decay])
+def test_gates_reject_other_laws(monkeypatch, draw):
+    # Both models share one canonical form; the second is drawn from another
+    # law: i.i.d. Poisson at the same mean, or the alpha = 0.56 member.
+    worked, image = worked_pair(1.62 * Q / (1.0 - ALPHA))
+    real = diagnostics._observed_series
+
+    def observed(model, t_len, stream):
+        return (draw if model is image else real)(model, t_len, stream)
+
+    monkeypatch.setattr(diagnostics, "_observed_series", observed)
+    failed = 0
+    for seed in range(42_000, 42_020):
+        report = equivalence_mc_test(worked, image, T_LEN, 1, RngStream(seed))
+        assert max(map(abs, report.canonical_delta.values())) < 1e-12
+        failed += not report.passed
+    assert failed >= 19

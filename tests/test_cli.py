@@ -54,6 +54,10 @@ def write_spec(tmp_path, doc, name="model.json"):
     return str(path)
 
 
+def reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
 class TestSimulate:
     def test_writes_csv_and_summary(self, tmp_path):
         spec = write_spec(tmp_path, EXAMPLE_SPEC)
@@ -312,26 +316,43 @@ class TestAppendix:
         res = run_cli("appendix", spec, "--t", "100", "--out", str(tmp_path / "t.csv"))
         assert res.returncode == 2
 
-    def test_undefined_z_fails_with_strict_json(self, tmp_path):
-        # Nobody is ever observed, so the first-observation checks have a zero
-        # standard error and an estimate off their target: z is undefined.
+    def test_nobody_observed_passes_with_strict_json(self, tmp_path):
+        # With lambda = 1e-9 nobody is observed, which is what the model
+        # predicts: no first observation is within the gates' reach.
         doc = {"latent": {"kind": "inar1", "lambda": 1e-9, "alpha": 0.5},
+               "reporting": {"q": 0.5}}
+        spec = write_spec(tmp_path, doc)
+        res = run_cli("appendix", spec, "--t", "1000", "--seed", "1",
+                      "--out", str(tmp_path / "tr.csv"))
+        assert res.returncode == 0, res.stdout
+        doc = json.loads(res.stdout, parse_constant=reject_constant)
+        checks = {c["name"]: c for c in doc["checks"]}
+        assert checks["first_obs_mean"]["estimate"] == 0.0
+        assert checks["first_obs_mean"]["p_value"] > 0.99
+
+    def test_undefined_z_fails_with_strict_json(self, tmp_path):
+        # The few observed individuals all fall in one batch, so the
+        # re-observation fraction has no spread to estimate: z is undefined.
+        doc = {"latent": {"kind": "inar1", "lambda": 0.002, "alpha": 0.5},
                "reporting": {"q": 0.5}}
         spec = write_spec(tmp_path, doc)
         res = run_cli("appendix", spec, "--t", "1000", "--seed", "1",
                       "--out", str(tmp_path / "tr.csv"))
         assert res.returncode == 1
         assert "Traceback" not in res.stderr
-
-        def reject(name):
-            raise ValueError(f"non-strict JSON constant {name}")
-
-        doc = json.loads(res.stdout, parse_constant=reject)
+        doc = json.loads(res.stdout, parse_constant=reject_constant)
         checks = {c["name"]: c for c in doc["checks"]}
-        assert checks["first_obs_mean"]["z"] is None
-        assert not checks["first_obs_mean"]["passed"]
-        assert checks["first_obs_rates"]["z"] is None
-        assert not checks["first_obs_rates"]["passed"]
+        assert checks["reobservation_fraction"]["z"] is None
+        assert checks["reobservation_fraction"]["p_value"] is None
+        assert not checks["reobservation_fraction"]["passed"]
+
+    def test_input_error_from_the_checks_writes_no_files(self, tmp_path):
+        spec = write_spec(tmp_path, EXAMPLE_SPEC)
+        out = tmp_path / "tr.csv"
+        res = run_cli("appendix", spec, "--t", "30", "--out", str(out))
+        assert res.returncode == 2
+        assert "batch means" in res.stderr
+        assert not out.exists() and not (tmp_path / "tr_long.csv").exists()
 
     def test_requires_first_order_latent(self, tmp_path):
         spec = write_spec(tmp_path, IMAGE_SPEC)

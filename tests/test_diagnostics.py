@@ -30,14 +30,14 @@ from inarq import (
 from inarq import diagnostics
 from inarq.diagnostics import (
     BATCH_COUNT,
-    CHI2_P_FLOOR,
     MAX_ORACLE_STATES,
     _acf,
     _batch_stats,
     _chi2_sf,
     _oracle_truncation,
+    _p_value,
+    _pearson,
     _poisson_quantile,
-    _pooled_joint_pmf,
     _pooled_pmf,
 )
 from inarq.equivalence import canonicalize
@@ -238,8 +238,37 @@ class TestChiSquareTail:
         assert _chi2_sf(0.0, 1) == 1.0
         assert _chi2_sf(0.0, 4) == 1.0
 
-    def test_p_floor_is_two_sided_three_sigma(self):
-        assert CHI2_P_FLOOR == pytest.approx(2 * sps.norm.sf(3.0), rel=1e-14)
+    @pytest.mark.parametrize("df", [49, 149, 2_499])
+    def test_t_score_p_value_matches_scipy(self, df):
+        assert _p_value(None, df) is None
+        assert _p_value(3.0) == pytest.approx(2 * sps.norm.sf(3.0), rel=1e-14)
+        for p in np.geomspace(1e-5, 1e-2, 30):
+            t = sps.t.isf(p / 2, df)
+            assert _p_value(t, df) == pytest.approx(p, rel=0.2)
+            assert _p_value(-t, df) == _p_value(t, df)
+
+    def test_pearson_matches_scipy_chisquare(self):
+        g = np.random.default_rng(37)
+        probs = 0.3 * 0.7 ** np.arange(40)
+        counts = np.bincount(g.geometric(0.3, 400) - 1)
+        check = _pearson("gaps", counts, probs, 0.01)
+        # By hand: values 0..8 expect at least 5 of 400; the tail past them
+        # expects 400 * 0.7**9 = 16.1, so it keeps its own bin.
+        expected = np.append(400 * probs[:9], 400 * 0.7**9)
+        observed = np.append(counts[:9], 400 - counts[:9].sum())
+        want = sps.chisquare(observed, expected)
+        assert check.detail == {"chi2": pytest.approx(want.statistic, rel=1e-12),
+                                "bins": 10, "n": 400}
+        assert check.p_value == pytest.approx(want.pvalue, rel=1e-9)
+        assert check.passed == (want.pvalue >= 0.01)
+        # A tail expecting fewer than 5 joins the last bin.
+        folded = _pearson("short", counts[:3], np.array([0.5, 0.3, 0.2]), 0.01)
+        n = counts[:3].sum()
+        want = sps.chisquare(counts[:3], n * np.array([0.5, 0.3, 0.2]))
+        assert folded.detail["bins"] == 3
+        assert folded.p_value == pytest.approx(want.pvalue, rel=1e-9)
+        # Fewer than two bins leave nothing to test.
+        assert _pearson("few", np.array([3, 1]), np.array([0.6, 0.4]), 0.01).passed
 
 
 def loop_batch_stats(values, max_lag):
@@ -310,17 +339,6 @@ class TestArrayStatistics:
         assert as_dict(marginal) == {
             (k,): c / pooled.size for k, c in enumerate(np.bincount(pooled)) if c > 0
         }
-        width = 12  # values of 11 or more are counted at 11
-        joint = _pooled_joint_pmf(samples, width)
-        assert joint.shape == (width, width)
-        counts = {}
-        for v in samples:
-            for a, b in zip(v[:-1].tolist(), v[1:].tolist()):
-                key = (min(a, width - 1), min(b, width - 1))
-                counts[key] = counts.get(key, 0) + 1
-        total = sum(v.size - 1 for v in samples)
-        assert as_dict(joint) == {k: c / total for k, c in counts.items()}
-        assert joint[:, 11].sum() > 0 and joint[11].sum() > 0
 
 
 class TestEquivalenceMcTest:
@@ -409,9 +427,14 @@ class TestEquivalenceMcTest:
         report = equivalence_mc_test(EXAMPLE, EXAMPLE, 10_000, 1, RngStream(221))
         doc = report.to_json_dict()
         assert set(doc) == {
-            "canonical_delta", "stats", "tv_marginal", "tv_joint",
+            "canonical_delta", "stats", "pair_cells", "tv_marginal", "level", "p_floor",
             "verdict", "seeds", "n",
         }
+        assert doc["level"] == diagnostics.LEVEL
+        cells = doc["pair_cells"]["cells"]
+        assert doc["pair_cells"]["bin_starts"][0] == 0 and len(cells) in (4, 9, 16)
+        assert set(cells[0]) == {"cell", "target", "estimate_1", "z_1", "estimate_2", "z_2"}
+        assert doc["p_floor"] == pytest.approx(diagnostics.LEVEL / (7 + 2 * len(cells)))
         assert {s["name"] for s in doc["stats"]} == {
             "mean", "variance", "acf_1", "acf_2", "acf_3", "acf_4", "acf_5",
         }
