@@ -531,10 +531,11 @@ class TraceCheckReport:
 def _chi2_sf(stat: float, df: int) -> float:
     """P(chi-square with ``df`` degrees of freedom > stat), for integer df >= 1.
 
-    With h = stat / 2 this is Q(df / 2, h): exp(-h) sum_{j < df/2} h^j / j!
-    for even df, erfc(sqrt(h)) + exp(-h) sum_{j < (df-1)/2} h^(j+1/2) /
-    Gamma(j + 3/2) for odd df, each term formed in log space so it does not
-    underflow while the sum is above the smallest double.
+    With h = stat / 2 this is the regularized upper incomplete gamma
+    Q(df / 2, h): exp(-h) sum_{j < df/2} h^j / j! for even df, and
+    erfc(sqrt(h)) plus exp(-h) sum_{j < (df-1)/2} h^(j+1/2) / Gamma(j + 3/2)
+    for odd df. Each term is formed in log space, so it does not underflow
+    while the sum is still above the smallest double.
     """
     h = stat / 2.0
     if h == 0.0:

@@ -36,6 +36,8 @@ from inarq.diagnostics import (
     _chi2_sf,
     _oracle_truncation,
     _p_value,
+    _pair_bins,
+    _pair_cell_rows,
     _pearson,
     _poisson_quantile,
     _pooled_pmf,
@@ -332,13 +334,34 @@ class TestArrayStatistics:
     def test_pooled_pmfs_match_dict_counts(self):
         g = np.random.default_rng(31)
         samples = [g.poisson(3.0, 5_000), g.poisson(3.0, 4_321)]
-        samples[1][17] = 40  # past the joint table's width
+        samples[1][17] = 40  # a value far past the others
         pooled = np.concatenate(samples)
         marginal = _pooled_pmf(samples)
         assert marginal.size == 41
         assert as_dict(marginal) == {
             (k,): c / pooled.size for k, c in enumerate(np.bincount(pooled)) if c > 0
         }
+
+    def test_pair_cells_match_loop_counts(self):
+        oracle = joint_pmf_oracle(EXAMPLE)
+        labels, cells = _pair_bins(oracle, 199)
+        width = cells.shape[0]
+        # Bins are runs of values; each cell holds the oracle's mass of its pairs.
+        assert width >= 2 and (np.diff(labels) >= 0).all() and labels[0] == 0
+        want = np.zeros((width, width))
+        for a, b in np.ndindex(oracle.shape):
+            want[labels[a], labels[b]] += oracle[a, b]
+        np.testing.assert_allclose(cells, want, rtol=1e-12, atol=0)
+        assert cells.min() * 199 >= 5
+        values = np.random.default_rng(41).poisson(OBSERVED_MEAN, 10_000)
+        values[123] = labels.size + 7  # past the oracle's support: the last bin
+        rows = _pair_cell_rows(values, labels, width)
+        m = values.size // BATCH_COUNT
+        for i, batch in enumerate(values.reshape(BATCH_COUNT, m)):
+            counts = np.zeros(width * width)
+            for a, b in zip(batch[:-1].tolist(), batch[1:].tolist()):
+                counts[labels[min(a, labels.size - 1)] * width + labels[min(b, labels.size - 1)]] += 1
+            np.testing.assert_array_equal(rows[i], counts / (m - 1))
 
 
 class TestEquivalenceMcTest:
@@ -466,6 +489,19 @@ class TestIndividualLevelChecks:
             "reobservation_fraction",
             "observation_split_identity",
         ]
+
+    def test_first_observations_expected_from_the_empty_start(self):
+        # An individual born at t - i is first observed at t with chance
+        # q decay^i, decay = alpha (1 - q); births start at step 0.
+        t_len, decay = 200, ALPHA * (1 - Q)
+        t = simulate_individual_level(
+            Inar1Spec(LAM, ALPHA), ReportingSpec(q=Q), t_len, RngStream(5)
+        )
+        first = individual_level_checks(t, Inar1Spec(LAM, ALPHA), Q).checks[0]
+        want = math.fsum(Q * LAM * decay**i for s in range(t_len) for i in range(s + 1))
+        assert first.detail == {"count": int(t.u_total.sum()),
+                                "expected": pytest.approx(want, rel=1e-12)}
+        assert first.z == pytest.approx((first.detail["count"] - want) / math.sqrt(want))
 
     def test_provenance_mismatch_rejected(self, trace):
         with pytest.raises(ProvenanceError):
