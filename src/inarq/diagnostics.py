@@ -325,10 +325,11 @@ class EquivalenceReport:
 
 
 def _observed_series(model: UnderreportedModel, t_len: int, stream: RngStream) -> CountSeries:
-    latent = simulate_inar_inf(model.latent, t_len, stream.substream(0))
+    """The latent series and then its thinning, both drawn from ``stream``."""
+    latent = simulate_inar_inf(model.latent, t_len, stream)
     if model.q == 1.0:
         return latent
-    return apply_reporting(latent, ReportingSpec(q=model.q), stream.substream(1))
+    return apply_reporting(latent, ReportingSpec(q=model.q), stream)
 
 
 def _batch_stats(values: np.ndarray, max_lag: int) -> np.ndarray:
@@ -405,13 +406,14 @@ def equivalence_mc_test(
     """Test whether two models generate the same observed process.
 
     Canonical forms are compared exactly; the observed processes are then
-    simulated (``reps`` replicates each, on disjoint substreams of
-    ``master_seed``). The gates are batch-means scores over each model's
-    reps * 50 batches: two-sample scores of the mean, variance and
-    autocorrelations, and per model one-sample scores of its binned
-    consecutive-pair frequencies against the enumeration oracle of the first
-    model's class (:func:`_pair_bins`). The verdict passes only if the
-    canonical forms agree and each of the k scores has p >= LEVEL / k.
+    simulated, ``reps`` replicates each, on one substream of ``master_seed``
+    per replicate that draws the latent series and then its thinning. The
+    gates are batch-means scores over each model's reps * 50 batches:
+    two-sample scores of the mean, variance and autocorrelations, and per
+    model one-sample scores of its binned consecutive-pair frequencies
+    against the enumeration oracle of the first model's class
+    (:func:`_pair_bins`). The verdict passes only if the canonical forms
+    agree and each of the k scores has p >= LEVEL / k.
 
     The report is a pure function of the inputs and the master seed.
     """
@@ -589,10 +591,12 @@ def individual_level_checks(
     (O - E) / sqrt(E) (its ``target`` is the stationary rate per step), and
     ``first_obs_rates`` is a Pearson chi-square of their ages given O.
     ``gap_distribution`` is a Pearson chi-square of the re-observation gaps
-    against Geom(1 - decay) on {1, 2, ...}; ``reobservation_fraction`` a
-    batch-means score of the share of observations seen again, without the
-    censored end; ``observation_split_identity`` the exact split of observed
-    counts into first and repeat observations.
+    against Geom(1 - decay) on {1, 2, ...}; ``reobservation_fraction``
+    scores the count S of the O observations seen again, without the
+    censored end, as (S - pO) / sqrt(p (1 - p) O): given the past, an
+    observation is seen again with probability p = alpha q / (1 - decay).
+    ``observation_split_identity`` is the exact split of observed counts
+    into first and repeat observations.
     """
     if trace.params != (spec.lambda_, spec.alpha, q):
         raise ProvenanceError(
@@ -633,23 +637,19 @@ def individual_level_checks(
     # Leave out the steps whose later observations the horizon may censor:
     # until decay**w < 1e-12, at most a quarter of the trace.
     settle = min(math.ceil(math.log(1e-12) / math.log(decay)) if decay else 1, max(1, t_len // 4))
-    x_obs = trace.x_tilde[: t_len - settle].astype(np.float64)
-    seen_again = trace.b_tilde[: t_len - settle].astype(np.float64)
+    observed = int(trace.x_tilde[: t_len - settle].sum())
+    seen_again = int(trace.b_tilde[: t_len - settle].sum())
     target_frac = alpha * q / (1.0 - decay)
-    if x_obs.sum() == 0:
+    if observed == 0:
         checks.append(CheckResult("reobservation_fraction", target_frac, None, None, None, True,
                                   detail={"note": "no observations occurred"}))
     else:
-        bx = _batches(x_obs).sum(axis=1)
-        bb = _batches(seen_again).sum(axis=1)
-        ratios = bb[bx > 0] / bx[bx > 0]
-        est = float(seen_again.sum() / x_obs.sum())
-        # One ratio has no spread to estimate: the z-score is then undefined.
-        se = float(ratios.std(ddof=1) / math.sqrt(ratios.size)) if ratios.size > 1 else math.nan
-        z = _z_score(est, target_frac, se)
-        p = _p_value(z, ratios.size - 1)
+        z = _z_score(seen_again, target_frac * observed,
+                     math.sqrt(target_frac * (1.0 - target_frac) * observed))
+        p = _p_value(z)
         checks.append(CheckResult(
-            "reobservation_fraction", target_frac, est, z, p, (p or 0.0) >= p_floor,
+            "reobservation_fraction", target_frac, seen_again / observed, z, p,
+            (p or 0.0) >= p_floor, detail={"count": seen_again, "observations": observed},
         ))
 
     split_ok = bool((trace.x_tilde == trace.u_total + trace.v_total).all())

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -536,15 +536,64 @@ def simulate_inar_inf(
     )
 
 
+# Largest count of a series that _thin draws from the inversion table. Row n
+# leaves at most n of its 256 cells open, so at most 1/8 of the entries at
+# the top draw a double, and the 33 x 256 byte table builds in under 0.5 ms.
+# Thinning the worked latent series (1e4 counts, largest 13) at q = 0.33 took
+# 0.10 ms against the sorted binomial draw's 0.46 ms (BENCH_14.json).
+_TABLE_TOP = 32
+# Table entry of a cell that a CDF step lies strictly inside: no draw is fixed.
+_STRADDLE = 255
+
+
+@lru_cache(maxsize=4)
+def _inversion_table(q: float) -> tuple[np.ndarray, np.ndarray]:
+    """The Binomial(n, q) inversion table for n = 0..``_TABLE_TOP``, read-only.
+
+    ``cdf[n, k]`` is 256 times P(Bin(n, q) <= k), by Pascal's recurrence on
+    the CDF with ``+`` and ``*`` only, so it is the same on every platform;
+    it is exactly 256 from k = n on. ``table[n * 256 + b]`` is the draw for
+    every uniform in [b, b + 1) / 256, or ``_STRADDLE`` where a step of row
+    n lies strictly inside that cell.
+    """
+    cdf = np.ones((_TABLE_TOP + 1, _TABLE_TOP + 1))
+    for n in range(1, _TABLE_TOP + 1):
+        cdf[n, :n] = cdf[n - 1, :n] * (1.0 - q)
+        cdf[n, 1:n] += cdf[n - 1, : n - 1] * q
+    cdf = np.minimum(cdf, 1.0) * 256.0  # a sum rounded above 1 would leave the last cell
+    cells = np.arange(256.0)
+    table = np.array([np.searchsorted(row, cells, side="right") for row in cdf], dtype=np.uint8)
+    rows, steps = np.nonzero(cdf != np.floor(cdf))
+    table[rows, cdf[rows, steps].astype(np.int64)] = _STRADDLE
+    table.flags.writeable = cdf.flags.writeable = False
+    return table.ravel(), cdf
+
+
 def _thin(counts: np.ndarray, q: float, g: np.random.Generator) -> np.ndarray:
     """An independent Binomial(n, q) draw for every entry n of ``counts``.
 
-    The entries are drawn in order of their counts and scattered back, so
+    While no count exceeds ``_TABLE_TOP``, each entry inverts its CDF at a
+    uniform U = (b + u) / 256 from one random byte b: the cached table gives
+    the draw unless a CDF step lies inside b's cell, and only then is the
+    double u drawn and compared with the row's steps in the cell's own
+    scale, 256 F - b, which loses no precision.
+
+    Larger counts are drawn in order of their counts and scattered back, so
     numpy's binomial sampler keeps its set-up while n repeats instead of
     rebuilding it for almost every entry. Counts below 2**16 are ordered as
     uint16, which numpy's stable argsort sorts by radix.
     """
-    key = counts.astype(np.uint16) if counts.max(initial=0) < 1 << 16 else counts
+    top = counts.max(initial=0)
+    if top <= _TABLE_TOP:
+        table, cdf = _inversion_table(q)
+        cell = g.integers(0, 256, counts.size, dtype=np.uint8)
+        thinned = table[(counts << 8) | cell].astype(counts.dtype)
+        straddling = np.flatnonzero(thinned == _STRADDLE)
+        u = g.random(straddling.size)
+        steps_below = cdf[counts[straddling]] - cell[straddling, None] <= u[:, None]
+        thinned[straddling] = steps_below.sum(axis=1)
+        return thinned
+    key = counts.astype(np.uint16) if top < 1 << 16 else counts
     order = np.argsort(key, kind="stable")
     thinned = np.empty_like(counts)
     thinned[order] = g.binomial(counts[order], q)

@@ -13,6 +13,7 @@ from inarq import (
     CanonicalForm,
     GeomInarSpec,
     Inar1Spec,
+    InarError,
     ReportingSpec,
     UnderreportedModel,
     canonicalize,
@@ -330,28 +331,31 @@ class TestAppendix:
         assert checks["first_obs_mean"]["estimate"] == 0.0
         assert checks["first_obs_mean"]["p_value"] > 0.99
 
-    def test_undefined_z_fails_with_strict_json(self, tmp_path):
-        # The few observed individuals all fall in one batch, so the
-        # re-observation fraction has no spread to estimate: z is undefined.
+    def test_sparse_trace_passes_with_strict_json(self, tmp_path):
+        # The few observed individuals all fall in one batch; the
+        # re-observation count needs no batches, so its z is still defined.
         doc = {"latent": {"kind": "inar1", "lambda": 0.002, "alpha": 0.5},
                "reporting": {"q": 0.5}}
         spec = write_spec(tmp_path, doc)
         res = run_cli("appendix", spec, "--t", "1000", "--seed", "1",
                       "--out", str(tmp_path / "tr.csv"))
-        assert res.returncode == 1
+        assert res.returncode == 0, res.stdout
         assert "Traceback" not in res.stderr
         doc = json.loads(res.stdout, parse_constant=reject_constant)
         checks = {c["name"]: c for c in doc["checks"]}
-        assert checks["reobservation_fraction"]["z"] is None
-        assert checks["reobservation_fraction"]["p_value"] is None
-        assert not checks["reobservation_fraction"]["passed"]
+        assert checks["reobservation_fraction"]["z"] is not None
+        assert checks["reobservation_fraction"]["p_value"] is not None
+        assert checks["reobservation_fraction"]["passed"]
 
-    def test_input_error_from_the_checks_writes_no_files(self, tmp_path):
+    def test_input_error_from_the_checks_writes_no_files(self, tmp_path, monkeypatch, capsys):
+        def fail(*args):
+            raise InarError("rejected by the checks")
+
+        monkeypatch.setattr(cli, "individual_level_checks", fail)
         spec = write_spec(tmp_path, EXAMPLE_SPEC)
         out = tmp_path / "tr.csv"
-        res = run_cli("appendix", spec, "--t", "30", "--out", str(out))
-        assert res.returncode == 2
-        assert "batch means" in res.stderr
+        assert cli.main(["appendix", spec, "--t", "100", "--out", str(out)]) == 2
+        assert "rejected by the checks" in capsys.readouterr().err
         assert not out.exists() and not (tmp_path / "tr_long.csv").exists()
 
     def test_requires_first_order_latent(self, tmp_path):
@@ -513,6 +517,14 @@ class TestDeterminism:
             res = run_cli("simulate", spec, "--t", "3000", "--seed", "13", "--out", str(out))
             outs.append((res.stdout, out.read_bytes()))
         assert outs[0] == outs[1]
+
+    def test_check_reproduces_bytes(self, tmp_path):
+        a = write_spec(tmp_path, EXAMPLE_SPEC, "a.json")
+        b = write_spec(tmp_path, IMAGE_SPEC, "b.json")
+        outs = [run_cli("check", a, b, "--t", "10000", "--reps", "2", "--seed", "13")
+                for _ in range(2)]
+        assert outs[0].returncode in (0, 1), outs[0].stderr
+        assert outs[0].stdout == outs[1].stdout
 
     def test_appendix_reproduces_bytes(self, tmp_path):
         spec = write_spec(tmp_path, EXAMPLE_SPEC)

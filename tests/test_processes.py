@@ -31,11 +31,13 @@ from inarq.processes import (
     _class_lengths,
     _count_chains,
     _dense_classes,
+    _inversion_table,
     _MAX_BLOCK_APPEARANCES,
     _MAX_STEPS,
     _require_block_size,
     _require_geom_block_size,
     _run_chains,
+    _thin,
     _unit_gaps,
     write_series_csv,
     write_trace_csv,
@@ -805,6 +807,70 @@ class TestApplyReporting:
         for q, omega in ((math.nan, 1.0), (0.5, math.nan), (math.inf, 1.0)):
             with pytest.raises(ParameterError):
                 ReportingSpec(q=q, omega=omega)
+
+
+def sorted_thin(counts, q, g):
+    """The sorted-binomial thinning that series with a count above the table's top keep."""
+    key = counts.astype(np.uint16) if counts.max(initial=0) < 1 << 16 else counts
+    order = np.argsort(key, kind="stable")
+    thinned = np.empty_like(counts)
+    thinned[order] = g.binomial(counts[order], q)
+    return thinned
+
+
+TABLE_COUNTS = (0, 1, 2, 3, 8, 16, 31, 32)
+
+
+class TestThinTable:
+    """Series whose counts are at most 32 are thinned by the byte-indexed
+    inversion table."""
+
+    @pytest.mark.parametrize("q", [1e-3, 1 / 256, 0.25, 0.33, 0.5, 3 / 7, 0.9, 0.999])
+    def test_law(self, reseed_once, q):
+        latent = np.repeat(TABLE_COUNTS, 20_000)
+        np.random.default_rng(7).shuffle(latent)
+
+        def check(seed):
+            reported = _thin(latent, q, RngStream(seed).generator)
+            stat, df = thinning_chi_square(latent, reported, q, 1.0)
+            assert df >= 1
+            assert sps.chi2.sf(stat, df) > 1e-4, (stat, df)
+
+        reseed_once(check, 131, 132)
+
+    @pytest.mark.parametrize("q", [0.9, 0.999])
+    def test_draw_never_exceeds_count(self, q):
+        counts = np.tile(np.arange(33), 40_000)
+        reported = _thin(counts, q, RngStream(3).generator)
+        assert ((0 <= reported) & (reported <= counts)).all()
+        # Each row's top draw occurs; its CDF step lies inside a cell at these q.
+        assert (np.bincount(counts, weights=reported == counts)[1:] > 0).all()
+
+    def test_above_the_top_draws_as_the_sorted_path(self):
+        counts = np.random.default_rng(1).poisson(8.0, 5_000)
+        counts[17] = 33
+        got = _thin(counts, 0.33, RngStream(4).generator)
+        want = sorted_thin(counts, 0.33, RngStream(4).generator)
+        assert got.tobytes() == want.tobytes()
+
+    def test_at_the_top_never_calls_binomial(self):
+        counts = np.minimum(np.random.default_rng(1).poisson(8.0, 5_000), 32)
+        counts[17] = 32
+        g = CountingGenerator(RngStream(4).generator)
+        _thin(counts, 0.33, g)
+        assert g.calls["binomial"] == 0
+        assert g.calls["integers"] == 1
+
+    def test_table_is_cached_and_read_only(self):
+        table, cdf = _inversion_table(0.33)
+        again = _inversion_table(0.33)
+        assert again[0] is table and again[1] is cdf
+        fresh = _inversion_table.__wrapped__(0.33)
+        assert np.array_equal(fresh[0], table) and np.array_equal(fresh[1], cdf)
+        for array in (table, cdf):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1
 
 
 @pytest.fixture(scope="module")
