@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .equivalence import UnderreportedModel, canonicalize
+from .equivalence import UnderreportedModel, absorb_reporting, canonicalize
 from .errors import (
     InsufficientDataError,
     ParameterError,
@@ -30,6 +30,7 @@ from .processes import (
     Inar1Spec,
     PopulationTrace,
     ReportingSpec,
+    _binomial_table,
     _require_geom_block_size,
     _require_steps,
     apply_reporting,
@@ -38,6 +39,7 @@ from .processes import (
 from .sampling import RngStream
 
 BATCH_COUNT = 50
+MAX_LAG = 5  # autocorrelation lags equivalence_mc_test compares
 LEVEL = 0.01  # family-wise false-rejection level of each verdict
 CANONICAL_TOL = 1e-12
 
@@ -105,7 +107,7 @@ def empirical_moments(series: CountSeries, max_lag: int) -> MomentSummary:
 
 
 def theoretical_observed_moments(
-    model: UnderreportedModel, max_lag: int = 5
+    model: UnderreportedModel, max_lag: int = MAX_LAG
 ) -> tuple[float, float, tuple[float, ...]]:
     """Closed-form mean, variance and autocorrelations of the observed process.
 
@@ -154,16 +156,6 @@ def _poisson_quantile(mu: float, tail: float) -> int:
     at_least = np.cumsum(pmf[::-1])[::-1]  # P(X >= k)
     beyond = np.append(at_least[1:], 0.0)  # P(X > k)
     return int(np.argmax(beyond <= tail))
-
-
-def _binomial_table(p: float, n: int) -> np.ndarray:
-    """table[x, k] = Bin(k; x, p) for x, k = 0..n, by Pascal's recurrence."""
-    table = np.zeros((n + 1, n + 1))
-    table[0, 0] = 1.0
-    for x in range(1, n + 1):
-        table[x] = table[x - 1] * (1.0 - p)
-        table[x, 1:] += table[x - 1, :-1] * p
-    return table
 
 
 # Most latent states the enumeration oracle may hold. Its transition and
@@ -332,21 +324,30 @@ def _observed_series(model: UnderreportedModel, t_len: int, stream: RngStream) -
     return apply_reporting(latent, ReportingSpec(q=model.q), stream)
 
 
-def _batch_stats(values: np.ndarray, max_lag: int) -> np.ndarray:
-    """Per-batch mean, variance and acf_1..max_lag (0 for a batch with zero
-    variance); shape (BATCH_COUNT, 2+max_lag)."""
-    batches = _batches(values.astype(np.float64))
+def _batch_rows(values: np.ndarray, labels: np.ndarray, width: int) -> np.ndarray:
+    """Per-batch mean, variance, acf_1..MAX_LAG (0 for a batch with zero variance)
+    and frequencies of binned consecutive pairs, column 2 + MAX_LAG + a * width + b
+    for cell (a, b); a value past the oracle's support takes the last value's bin."""
+    ints = _batches(values)
+    batches = ints.astype(np.float64)
     m = batches.shape[1]
     means = batches.mean(axis=1, keepdims=True)
     centred = batches - means
     # lagged[:, k] = sum_j c_j c_{j+k} within each batch; column 0 is the sum of squares.
     lagged = np.column_stack(
-        [(centred[:, : m - k] * centred[:, k:]).sum(axis=1) for k in range(max_lag + 1)]
+        [(centred[:, : m - k] * centred[:, k:]).sum(axis=1) for k in range(MAX_LAG + 1)]
     )
-    rows = np.zeros((BATCH_COUNT, 2 + max_lag))
+    cells = width * width
+    rows = np.zeros((BATCH_COUNT, 2 + MAX_LAG + cells))
     rows[:, 0] = means[:, 0]
     rows[:, 1] = lagged[:, 0] / (m - 1)
-    np.divide(lagged[:, 1:], lagged[:, :1], out=rows[:, 2:], where=lagged[:, :1] > 0)
+    np.divide(lagged[:, 1:], lagged[:, :1], out=rows[:, 2 : 2 + MAX_LAG],
+              where=lagged[:, :1] > 0)
+    if width:
+        bins = np.take(labels, ints, mode="clip")
+        codes = bins[:, :-1] * width + bins[:, 1:] + (np.arange(BATCH_COUNT) * cells)[:, None]
+        counts = np.bincount(codes.ravel(), minlength=BATCH_COUNT * cells)
+        rows[:, 2 + MAX_LAG :] = counts.reshape(BATCH_COUNT, cells) / (m - 1)
     return rows
 
 
@@ -372,23 +373,6 @@ def _pair_bins(oracle: np.ndarray, pairs: int) -> tuple[np.ndarray, np.ndarray]:
     return values[:0], np.zeros((0, 0))
 
 
-def _pair_cell_rows(values: np.ndarray, labels: np.ndarray, width: int) -> np.ndarray:
-    """Per-batch frequencies of the binned consecutive pairs within each batch,
-    column a * width + b for cell (a, b). A value past the oracle's support
-    takes the last value's bin."""
-    batches = _batches(np.take(labels, values, mode="clip"))
-    cells = width * width
-    codes = batches[:, :-1] * width + batches[:, 1:] + (np.arange(BATCH_COUNT) * cells)[:, None]
-    counts = np.bincount(codes.ravel(), minlength=BATCH_COUNT * cells)
-    return counts.reshape(BATCH_COUNT, cells) / (batches.shape[1] - 1)
-
-
-def _mean_and_se(rows: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Column means of the stacked batch rows and their batch-means standard errors."""
-    rows = np.vstack(rows)
-    return rows.mean(axis=0), rows.std(axis=0, ddof=1) / math.sqrt(rows.shape[0])
-
-
 def _pooled_pmf(samples: list[np.ndarray]) -> np.ndarray:
     """Pooled pmf of the values, indexed by value."""
     pooled = np.concatenate(samples)
@@ -401,7 +385,6 @@ def equivalence_mc_test(
     t_len: int,
     reps: int,
     master_seed: RngStream,
-    max_lag: int = 5,
 ) -> EquivalenceReport:
     """Test whether two models generate the same observed process.
 
@@ -421,15 +404,17 @@ def equivalence_mc_test(
         raise ParameterError(f"t_len must be at least 10000, got {t_len}")
     if reps < 1:
         raise ParameterError(f"reps must be at least 1, got {reps}")
-    # Bound the simulations' steps and working arrays, then the oracle's
-    # tables, before any draw.
+    # Bound the simulations' steps and working arrays, then build the oracle
+    # (which bounds its own tables), before any draw.
     _require_steps(reps * t_len, "reps times series length")
     for model in (m1, m2):
         _require_geom_block_size(model.latent)
     c1, c2 = canonicalize(m1), canonicalize(m2)
-    truncation = _oracle_truncation(c1.lambda_star / (1.0 - c1.alpha_star))
+    oracle = joint_pmf_oracle(c1.as_model())
+    labels, target = _pair_bins(oracle, t_len // BATCH_COUNT - 1)
+    width = target.shape[0]
 
-    sample1, sample2 = [
+    samples = [
         [
             _observed_series(model, t_len, master_seed.substream((idx << 32) + r)).values
             for r in range(reps)
@@ -437,24 +422,23 @@ def equivalence_mc_test(
         for idx, model in enumerate((m1, m2))
     ]
     df = reps * BATCH_COUNT - 1
+    summaries = []  # per model: column means of its batch rows and their standard errors
+    for sample in samples:
+        rows = np.vstack([_batch_rows(v, labels, width) for v in sample])
+        summaries.append((rows.mean(axis=0), rows.std(axis=0, ddof=1) / math.sqrt(rows.shape[0])))
+    (est1, se1), (est2, se2) = summaries
 
-    est1, se1 = _mean_and_se([_batch_stats(v, max_lag) for v in sample1])
-    est2, se2 = _mean_and_se([_batch_stats(v, max_lag) for v in sample2])
-    names = ["mean", "variance"] + [f"acf_{k}" for k in range(1, max_lag + 1)]
+    names = ["mean", "variance"] + [f"acf_{k}" for k in range(1, MAX_LAG + 1)]
     comparisons = []
     for i, name in enumerate(names):
         z = _z_score(float(est1[i]), float(est2[i]), math.hypot(se1[i], se2[i]))
         comparisons.append(StatComparison(name, float(est1[i]), float(est2[i]), z))
     scores = [c.z for c in comparisons]
 
-    oracle = joint_pmf_oracle(c1.as_model(), truncation=truncation)
-    labels, target = _pair_bins(oracle, t_len // BATCH_COUNT - 1)
-    width = target.shape[0]
     cells = [{"cell": [a, b], "target": float(target[a, b])}
              for a in range(width) for b in range(width)]
-    for idx, sample in enumerate((sample1, sample2) if width else (), start=1):
-        est, se = _mean_and_se([_pair_cell_rows(v, labels, width) for v in sample])
-        for cell, e, s in zip(cells, est.tolist(), se.tolist()):
+    for idx, (est, se) in enumerate(summaries, start=1):
+        for cell, e, s in zip(cells, est[2 + MAX_LAG :].tolist(), se[2 + MAX_LAG :].tolist()):
             z = _z_score(e, cell["target"], s)
             cell.update({f"estimate_{idx}": e, f"z_{idx}": z})
             scores.append(z)
@@ -475,7 +459,7 @@ def equivalence_mc_test(
         stats=tuple(comparisons),
         pair_cells={"bin_starts": np.flatnonzero(np.diff(labels, prepend=-1)).tolist(),
                     "cells": cells},
-        tv_marginal=total_variation(_pooled_pmf(sample1), _pooled_pmf(sample2)),
+        tv_marginal=total_variation(*map(_pooled_pmf, samples)),
         p_floor=p_floor,
         verdict="pass" if ok else "fail",
         seeds={"seed": master_seed.seed, "stream_id": master_seed.stream_id},
@@ -581,20 +565,22 @@ def _pearson(name: str, counts: np.ndarray, probs: np.ndarray, p_floor: float) -
 def individual_level_checks(
     trace: PopulationTrace, spec: Inar1Spec, q: float
 ) -> TraceCheckReport:
-    """Verify the distributional decomposition of an individual-level trace.
+    """Verify the distributional decomposition of an individual-level trace
+    against its fully observed image, :func:`absorb_reporting`.
 
     Four stochastic checks, each passing at p >= LEVEL / 4, and one exact.
     From the empty start, first observations at step t of individuals born
     at t - i are independent Poisson(q lambda decay^i) over (t, i), with
-    decay = alpha (1 - q): a colouring of the Poisson births. So
-    ``first_obs_mean`` scores their total O against its expectation E as
-    (O - E) / sqrt(E) (its ``target`` is the stationary rate per step), and
-    ``first_obs_rates`` is a Pearson chi-square of their ages given O.
-    ``gap_distribution`` is a Pearson chi-square of the re-observation gaps
-    against Geom(1 - decay) on {1, 2, ...}; ``reobservation_fraction``
-    scores the count S of the O observations seen again, without the
-    censored end, as (S - pO) / sqrt(p (1 - p) O): given the past, an
-    observation is seen again with probability p = alpha q / (1 - decay).
+    decay = alpha (1 - q), the image's gamma: a colouring of the Poisson
+    births, the image's immigrants. So ``first_obs_mean`` scores their total
+    O against its expectation E as (O - E) / sqrt(E) (its ``target`` is the
+    image's rate), and ``first_obs_rates`` is a Pearson chi-square of their
+    ages given O. ``gap_distribution`` is a Pearson chi-square of the
+    re-observation gaps against the image's gaps, Geom(1 - decay) on
+    {1, 2, ...}; ``reobservation_fraction`` scores the count S of the O
+    observations seen again, without the censored end, as (S - pO) /
+    sqrt(p (1 - p) O): given the past, an observation is seen again with
+    the image's persistence p = alpha q / (1 - decay).
     ``observation_split_identity`` is the exact split of observed counts
     into first and repeat observations.
     """
@@ -604,18 +590,18 @@ def individual_level_checks(
             f"({spec.lambda_}, {spec.alpha}, {q})"
         )
     t_len = len(trace)
-    lam, alpha = spec.lambda_, spec.alpha
-    decay = alpha * (1.0 - q)  # survival while staying unobserved
-    lam_first = q * lam / (1.0 - decay)
+    lam = spec.lambda_
+    image = absorb_reporting(spec, q)
+    decay = image.gamma  # survival while staying unobserved
     p_floor = LEVEL / 4
 
-    # lam_first times sum_{i < T} (1 - decay^(i + 1)), the first-observation
+    # The image's rate times sum_{i < T} (1 - decay^(i + 1)), the first-observation
     # rate at step i of the empty start.
-    expected = lam_first * (t_len - decay * (1.0 - decay**t_len) / (1.0 - decay))
+    expected = image.lambda_ * (t_len - decay * (1.0 - decay**t_len) / (1.0 - decay))
     first = int(trace.u_total.sum())
     z = _z_score(first, expected, math.sqrt(expected))
     p = _p_value(z)
-    checks = [CheckResult("first_obs_mean", lam_first, first / t_len, z, p,
+    checks = [CheckResult("first_obs_mean", image.lambda_, first / t_len, z, p,
                           (p or 0.0) >= p_floor, detail={"count": first, "expected": expected})]
     _, age, count = trace.u_counts.T
     ages = np.arange(min(t_len, first // 5 + 1))
@@ -639,7 +625,7 @@ def individual_level_checks(
     settle = min(math.ceil(math.log(1e-12) / math.log(decay)) if decay else 1, max(1, t_len // 4))
     observed = int(trace.x_tilde[: t_len - settle].sum())
     seen_again = int(trace.b_tilde[: t_len - settle].sum())
-    target_frac = alpha * q / (1.0 - decay)
+    target_frac = image.total_weight
     if observed == 0:
         checks.append(CheckResult("reobservation_fraction", target_frac, None, None, None, True,
                                   detail={"note": "no observations occurred"}))

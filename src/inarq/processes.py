@@ -228,7 +228,7 @@ _NO_CHAINS = (np.zeros(0, dtype=np.int64),) * 3
 
 
 def _unit_gaps(k: int) -> np.ndarray:
-    """The first-order gap law; :func:`_run_chains` counts such chains as intervals."""
+    """The first-order gap law; :func:`_count_chains` counts such chains as intervals."""
     return np.ones(k, dtype=np.int64)
 
 
@@ -289,7 +289,7 @@ def _chain_blocks(lam: float, rho: float, steps: int, rng: RngStream, under_way=
     first block; ``counts[k - 1]`` more chains of length k arrive at step 0,
     for the dense classes k below.
 
-    With ``dense`` (the unit-gap path of :func:`_run_chains`), every class k
+    With ``dense`` (for the unit-gap path of :func:`_count_chains`), every class k
     that expects at least ``_DENSE_CLASS_CHAINS`` chains per step is drawn
     instead as per-step counts, ``hist[k - 1, s]`` ~ Poisson(lam * (1 - rho)
     * rho**(k - 1)) chains of length k arriving at step t0 + s; they never
@@ -364,7 +364,7 @@ def _require_block_size(lam: float, rho: float, reach: float, as_intervals: bool
 
     That block holds the chains under way at step 0, Poisson(lam * reach /
     (1 - rho)) of them, and at least one step's immigrants, Poisson(lam). With
-    ``as_intervals`` (the unit-gap path of :func:`_run_chains`) only the
+    ``as_intervals`` (the unit-gap path of :func:`_count_chains`) only the
     chains are laid out; otherwise each chain makes 1 / (1 - rho) appearances
     on average, and all of them are. A later block lays out about
     max(per-step entries, _BLOCK_APPEARANCES) entries, and a step's entries
@@ -421,21 +421,6 @@ def _count_chains(blocks, gap_draw, steps: int) -> tuple[np.ndarray, dict[str, i
     return out, {"chains": chains, "appearances": appearances, "beyond": beyond}
 
 
-def _run_chains(
-    lam: float, rho: float, gap_draw, steps: int, rng: RngStream, under_way=_NO_CHAINS
-) -> tuple[np.ndarray, dict[str, int]]:
-    """Counts of an immigrant-chain process over ``steps`` steps, with the
-    chains under way at step 0 given as :func:`_chain_blocks` takes them.
-
-    Draws the chains by :func:`_chain_blocks`, with the dense classes as
-    per-step counts on the unit-gap path (``gap_draw`` the sentinel
-    :func:`_unit_gaps`), whose blocks are then sized by the chains and
-    counts they hold; it counts them by :func:`_count_chains`.
-    """
-    unit = gap_draw is _unit_gaps
-    return _count_chains(_chain_blocks(lam, rho, steps, rng, under_way, unit), gap_draw, steps)
-
-
 def _chain_series(lam, rho, reach, gap_draw, residual_draw, t_len, burn_in, rng, model_tag):
     """Run the chain kernel from its stationary state; keep the last ``t_len`` steps.
 
@@ -459,7 +444,8 @@ def _chain_series(lam, rho, reach, gap_draw, residual_draw, t_len, burn_in, rng,
     counts = rng.generator.poisson(mean * (1.0 - rho) * rho ** np.arange(skip, dtype=np.float64))
     lengths = _class_lengths(mean, rho, skip, rng)
     under_way = (residual_draw(lengths.size) - 1, lengths, counts)
-    out, _ = _run_chains(lam, rho, gap_draw, burn_in + t_len, rng, under_way)
+    steps = burn_in + t_len
+    out, _ = _count_chains(_chain_blocks(lam, rho, steps, rng, under_way, unit), gap_draw, steps)
     return CountSeries(out[burn_in:], rng.identity, burn_in, model_tag)
 
 
@@ -546,20 +532,28 @@ _TABLE_TOP = 32
 _STRADDLE = 255
 
 
+def _binomial_table(p: float, n: int) -> np.ndarray:
+    """table[x, k] = Bin(k; x, p) for x, k = 0..n, by Pascal's recurrence."""
+    table = np.zeros((n + 1, n + 1))
+    table[0, 0] = 1.0
+    for x in range(1, n + 1):
+        table[x] = table[x - 1] * (1.0 - p)
+        table[x, 1:] += table[x - 1, :-1] * p
+    return table
+
+
 @lru_cache(maxsize=4)
 def _inversion_table(q: float) -> tuple[np.ndarray, np.ndarray]:
     """The Binomial(n, q) inversion table for n = 0..``_TABLE_TOP``, read-only.
 
-    ``cdf[n, k]`` is 256 times P(Bin(n, q) <= k), by Pascal's recurrence on
-    the CDF with ``+`` and ``*`` only, so it is the same on every platform;
-    it is exactly 256 from k = n on. ``table[n * 256 + b]`` is the draw for
-    every uniform in [b, b + 1) / 256, or ``_STRADDLE`` where a step of row
-    n lies strictly inside that cell.
+    ``cdf[n, k]`` is 256 times P(Bin(n, q) <= k), the running sum of
+    :func:`_binomial_table`'s row n, with ``+`` and ``*`` only, so it is the
+    same on every platform; it is exactly 256 from k = n on.
+    ``table[n * 256 + b]`` is the draw for every uniform in [b, b + 1) / 256,
+    or ``_STRADDLE`` where a step of row n lies strictly inside that cell.
     """
-    cdf = np.ones((_TABLE_TOP + 1, _TABLE_TOP + 1))
-    for n in range(1, _TABLE_TOP + 1):
-        cdf[n, :n] = cdf[n - 1, :n] * (1.0 - q)
-        cdf[n, 1:n] += cdf[n - 1, : n - 1] * q
+    cdf = np.cumsum(_binomial_table(q, _TABLE_TOP), axis=1)
+    cdf[np.triu_indices(_TABLE_TOP + 1)] = 1.0
     cdf = np.minimum(cdf, 1.0) * 256.0  # a sum rounded above 1 would leave the last cell
     cells = np.arange(256.0)
     table = np.array([np.searchsorted(row, cells, side="right") for row in cdf], dtype=np.uint8)

@@ -358,6 +358,17 @@ class TestAppendix:
         assert "rejected by the checks" in capsys.readouterr().err
         assert not out.exists() and not (tmp_path / "tr_long.csv").exists()
 
+    def test_unrepresentable_image_exits_2_without_files(self, tmp_path):
+        # lambda * q underflows to 0, so the fully observed image the checks
+        # read has no valid rate: an input error, and no CSV is written.
+        doc = {"latent": {"kind": "inar1", "lambda": 1e-200, "alpha": 0.5},
+               "reporting": {"q": 1e-200}}
+        spec = write_spec(tmp_path, doc)
+        out = tmp_path / "tr.csv"
+        res = run_cli("appendix", spec, "--t", "100", "--out", str(out))
+        assert res.returncode == 2 and res.stderr.startswith("error:"), res.stderr
+        assert not out.exists()
+
     def test_requires_first_order_latent(self, tmp_path):
         spec = write_spec(tmp_path, IMAGE_SPEC)
         res = run_cli("appendix", spec, "--t", "100", "--out", str(tmp_path / "t.csv"))
@@ -506,6 +517,35 @@ class TestImports:
         res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == "[]"
+
+    def test_every_command_runs_without_scipy_or_hypothesis(self, tmp_path):
+        # numpy is the only runtime dependency: with the test-only packages
+        # unimportable, each command of the README tour runs in one child.
+        example = write_spec(tmp_path, EXAMPLE_SPEC, "a.json")
+        image = write_spec(tmp_path, IMAGE_SPEC, "b.json")
+        out = str(tmp_path / "out.csv")
+        commands = [
+            ["simulate", example, "--t", "2000", "--out", out],
+            ["transform", example, "--to", "inf"],
+            ["transform", example, "--to", "q=0.5"],
+            ["transform", example, "--to", "canonical"],
+            ["expand", image, "--cutoff", "0.005"],
+            ["curve", example, "--out", out],
+            ["check", example, image, "--t", "10000", "--reps", "1"],
+            ["appendix", example, "--t", "2000", "--out", out],
+        ]
+        code = (
+            "import json, sys\n"
+            "sys.modules['scipy'] = sys.modules['hypothesis'] = None\n"
+            "from inarq.cli import main\n"
+            "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "print(json.dumps(codes))\n"
+        )
+        res = subprocess.run([sys.executable, "-c", code, json.dumps(commands)],
+                             capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr[-500:]
+        codes = json.loads(res.stdout.splitlines()[-1])
+        assert codes[:6] == [0] * 6 and set(codes[6:]) <= {0, 1}, (codes, res.stderr[-500:])
 
 
 class TestDeterminism:

@@ -1,4 +1,6 @@
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,17 +32,18 @@ from inarq import (
 from inarq import diagnostics
 from inarq.diagnostics import (
     BATCH_COUNT,
+    MAX_LAG,
     MAX_ORACLE_STATES,
     _acf,
-    _batch_stats,
+    _batch_rows,
     _chi2_sf,
     _oracle_truncation,
     _p_value,
     _pair_bins,
-    _pair_cell_rows,
     _pearson,
     _poisson_quantile,
     _pooled_pmf,
+    _z_score,
 )
 from inarq.equivalence import canonicalize
 from inarq.processes import _MAX_STEPS
@@ -49,6 +52,10 @@ LAM, ALPHA, Q = 1.62, 0.52, 0.33
 EXAMPLE = UnderreportedModel.from_inar1(Inar1Spec(LAM, ALPHA), Q)
 OBSERVED_MEAN = Q * LAM / (1 - ALPHA)  # 1.11375
 IMAGE_MODEL = UnderreportedModel(absorb_reporting(Inar1Spec(LAM, ALPHA), Q), 1.0)
+
+
+def reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
 
 
 def scipy_joint_pmf(lam, alpha, q):
@@ -186,6 +193,12 @@ class TestJointPmfOracle:
             truncation = _oracle_truncation(mean)
             assert truncation == _poisson_quantile(mean, 1e-13) + 15 < MAX_ORACLE_STATES
 
+    def test_support_cap_clamped_to_truncation(self):
+        clamped = joint_pmf_oracle(EXAMPLE, support_cap=50, truncation=20)
+        assert clamped.shape == (21, 21)
+        np.testing.assert_array_equal(
+            clamped, joint_pmf_oracle(EXAMPLE, support_cap=20, truncation=20))
+
     def test_truncation_too_small_rejected(self):
         with pytest.raises(TruncationError):
             joint_pmf_oracle(EXAMPLE, support_cap=1, truncation=2)
@@ -297,7 +310,8 @@ class TestBatchStats:
             "near_constant": np.where(np.arange(10_000) == 4321, 1, 0),
             "uneven": g.poisson(40.0, 10_037),  # remainder past the last batch is dropped
         }[kind]
-        got, want = _batch_stats(values, 5), loop_batch_stats(values, 5)
+        got = _batch_rows(values, np.zeros(0, np.int64), 0)  # no pair bins: the moments
+        want = loop_batch_stats(values, MAX_LAG)
         assert got.shape == (BATCH_COUNT, 7)
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
 
@@ -355,7 +369,7 @@ class TestArrayStatistics:
         assert cells.min() * 199 >= 5
         values = np.random.default_rng(41).poisson(OBSERVED_MEAN, 10_000)
         values[123] = labels.size + 7  # past the oracle's support: the last bin
-        rows = _pair_cell_rows(values, labels, width)
+        rows = _batch_rows(values, labels, width)[:, 2 + MAX_LAG :]
         m = values.size // BATCH_COUNT
         for i, batch in enumerate(values.reshape(BATCH_COUNT, m)):
             counts = np.zeros(width * width)
@@ -423,6 +437,35 @@ class TestEquivalenceMcTest:
             ("apply_reporting", ReportingSpec(q=Q)),
             ("simulate_inar_inf", IMAGE_MODEL.latent),
         ]
+
+    def test_zero_standard_error_scores(self):
+        assert _z_score(0.25, 0.25, 0.0) == 0.0
+        assert _z_score(0.25, 0.5, 0.0) is None
+        assert _p_value(None) is None
+
+    @pytest.mark.parametrize("second, passed", [(0, True), (1, False)])
+    def test_undefined_score_fails_the_verdict(self, monkeypatch, second, passed):
+        # Constant series give every batch the same statistics, so every SE
+        # is zero: a score on target is 0 and passes, one off target is
+        # undefined (None) and fails. This class has no pair cells at this
+        # length, so the seven stats are the only scores.
+        sparse = Inar1Spec(0.05, 0.5)
+        image = UnderreportedModel(absorb_reporting(sparse, 0.5), 1.0)
+
+        def constant(model, t_len, stream):
+            values = np.full(t_len, second if model is image else 0)
+            return CountSeries(values, stream.identity, 0, "constant")
+
+        monkeypatch.setattr(diagnostics, "_observed_series", constant)
+        report = equivalence_mc_test(UnderreportedModel.from_inar1(sparse, 0.5), image,
+                                     10_000, 1, RngStream(1))
+        assert report.pair_cells["cells"] == []
+        mean = next(s for s in report.stats if s.name == "mean")
+        assert (mean.value_1, mean.value_2) == (0.0, float(second))
+        assert mean.z == (0.0 if passed else None)
+        assert report.passed is passed
+        doc = json.loads(report.to_json(), parse_constant=reject_constant)
+        assert doc["stats"][0]["z"] == mean.z  # null in the JSON when undefined
 
     def test_report_is_deterministic(self):
         a = equivalence_mc_test(EXAMPLE, IMAGE_MODEL, 10_000, 2, RngStream(211))
@@ -514,6 +557,22 @@ class TestIndividualLevelChecks:
         report = individual_level_checks(t, Inar1Spec(LAM, ALPHA), 1.0)
         gap = next(c for c in report.checks if c.name == "gap_distribution")
         assert gap.passed and gap.estimate == 1.0
+
+    def test_trace_without_observations_passes_with_notes(self):
+        spec = Inar1Spec(1e-9, 0.5)
+        t = simulate_individual_level(spec, ReportingSpec(q=0.5), 100, RngStream(1))
+        assert t.x_tilde.sum() == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning from an empty trace
+            report = individual_level_checks(t, spec, 0.5)
+        assert report.all_passed, report.to_json()
+        notes = {c.name: c.detail["note"] for c in report.checks if "note" in (c.detail or {})}
+        assert notes == {
+            "first_obs_rates": "too few counts for a binned test",
+            "gap_distribution": "too few counts for a binned test",
+            "reobservation_fraction": "no observations occurred",
+        }
+        json.loads(report.to_json(), parse_constant=reject_constant)
 
     def test_no_survival_trace_passes_vacuously(self):
         t = simulate_individual_level(

@@ -36,7 +36,6 @@ from inarq.processes import (
     _MAX_STEPS,
     _require_block_size,
     _require_geom_block_size,
-    _run_chains,
     _thin,
     _unit_gaps,
     write_series_csv,
@@ -325,7 +324,8 @@ class TestInar1:
             if as_counts:
                 s = simulate_inar1(Inar1Spec(lam, 0.0), t_len, RngStream(seed)).values
             else:
-                s, _ = _run_chains(lam, 0.0, unit_gaps_by_draw, t_len, RngStream(seed))
+                s, _ = _count_chains(_chain_blocks(lam, 0.0, t_len, RngStream(seed)),
+                                     unit_gaps_by_draw, t_len)
             observed = np.bincount(np.searchsorted(edges, s), minlength=bins)
             stat = float(((observed - t_len * probs) ** 2 / (t_len * probs)).sum())
             assert sps.chi2.sf(stat, bins - 1) >= 0.0027, stat
@@ -522,7 +522,8 @@ class TestChainKernel:
         def gaps(k):
             return geometric_draws(1.0 - spec.gamma, k, rng)
 
-        out, stats = _run_chains(spec.lambda_, spec.total_weight, gaps, 20_000, rng)
+        out, stats = _count_chains(_chain_blocks(spec.lambda_, spec.total_weight, 20_000, rng),
+                                   gaps, 20_000)
         assert stats["appearances"] == int(out.sum()) + stats["beyond"]
         assert stats["appearances"] > stats["chains"] > 0
         assert stats["beyond"] > 0
@@ -653,7 +654,8 @@ class TestClassDraw:
         # stay few; every length value beyond the block's Poisson count is a
         # chain's (its tail length), never a class expecting under one chain.
         rng = counting_stream(12)
-        _, stats = _run_chains(1.62, 0.999, gaps, 5_000, rng)
+        _, stats = _count_chains(
+            _chain_blocks(1.62, 0.999, 5_000, rng, dense=gaps is _unit_gaps), gaps, 5_000)
         values, calls = rng.generator.values, rng.generator.calls
         blocks = calls["integers"]  # one arrival draw per block
         assert values["poisson"] + values["random"] <= stats["chains"] + blocks, (values, stats)
