@@ -37,7 +37,6 @@ from .errors import (
     InarError,
     InsufficientDataError,
     ParameterError,
-    ProvenanceError,
     TruncationError,
     UnsupportedMechanismError,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "MomentSummary",
     "ParameterError",
     "PopulationTrace",
-    "ProvenanceError",
     "ReportingSpec",
     "RngStream",
     "TraceCheckReport",

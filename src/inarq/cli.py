@@ -57,6 +57,19 @@ def _require_number(doc: dict, key: str, where: str) -> float:
         raise ParameterError(f"{where} field '{key}' is too large for a float") from exc
 
 
+# The keys each object of a spec document may hold, the latent object's by kind.
+_KEYS = {"spec": ("latent", "reporting"), "reporting": ("q", "omega"),
+         "inar1": ("kind", "lambda", "alpha"), "geom_inf": ("kind", "lambda", "beta", "gamma")}
+
+
+def _require_known_keys(doc: dict, allowed: tuple[str, ...], where: str) -> None:
+    for key in doc:
+        if key not in allowed:
+            raise ParameterError(
+                f"{where} has unknown key {key!r}; its keys are {', '.join(allowed)}"
+            )
+
+
 def load_model_file(path: str) -> tuple[UnderreportedModel, ReportingSpec, str]:
     """Parse a model spec file into (model, reporting spec, latent kind).
 
@@ -65,6 +78,7 @@ def load_model_file(path: str) -> tuple[UnderreportedModel, ReportingSpec, str]:
     with reporting optional (defaults q=1, omega=1). The flat parameter
     objects printed by ``transform`` ({lambda, beta, gamma} or
     {lambda, alpha, q}) are accepted as well, so its output pipes back in.
+    A key that no object of the shape takes is rejected.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -85,33 +99,32 @@ def load_model_file(path: str) -> tuple[UnderreportedModel, ReportingSpec, str]:
             }
         else:
             raise ParameterError(f"model spec {path} must contain a 'latent' object")
+    _require_known_keys(doc, _KEYS["spec"], "the model spec")
 
     latent_doc = doc["latent"]
     if not isinstance(latent_doc, dict):
         raise ParameterError("'latent' must be a JSON object")
     kind = latent_doc.get("kind")
+    if kind not in ("inar1", "geom_inf"):  # a tuple: kind may be unhashable
+        raise ParameterError(f"latent kind must be 'inar1' or 'geom_inf', got {kind!r}")
+    _require_known_keys(latent_doc, _KEYS[kind], f"'latent' of kind {kind!r}")
     if kind == "inar1":
-        if "beta" in latent_doc or "gamma" in latent_doc:
-            raise ParameterError("latent kind 'inar1' forbids 'beta' and 'gamma'")
         spec = Inar1Spec(
             lambda_=_require_number(latent_doc, "lambda", "latent"),
             alpha=_require_number(latent_doc, "alpha", "latent"),
         )
         latent = GeomInarSpec(spec.lambda_, spec.alpha, 0.0)
-    elif kind == "geom_inf":
-        if "alpha" in latent_doc:
-            raise ParameterError("latent kind 'geom_inf' forbids 'alpha'")
+    else:
         latent = GeomInarSpec(
             lambda_=_require_number(latent_doc, "lambda", "latent"),
             beta=_require_number(latent_doc, "beta", "latent"),
             gamma=_require_number(latent_doc, "gamma", "latent"),
         )
-    else:
-        raise ParameterError(f"latent kind must be 'inar1' or 'geom_inf', got {kind!r}")
 
     rep_doc = doc.get("reporting", {})
     if not isinstance(rep_doc, dict):
         raise ParameterError("'reporting' must be a JSON object")
+    _require_known_keys(rep_doc, _KEYS["reporting"], "'reporting'")
     q = _require_number(rep_doc, "q", "reporting") if "q" in rep_doc else 1.0
     omega = _require_number(rep_doc, "omega", "reporting") if "omega" in rep_doc else 1.0
     reporting = ReportingSpec(q=q, omega=omega)
@@ -243,7 +256,7 @@ def cmd_appendix(args) -> int:
     base, ext = os.path.splitext(args.out)
     long_path = f"{base}_long{ext or '.csv'}"
     # Check first, so an input error from the checks leaves no files behind.
-    report = individual_level_checks(trace, spec, reporting.q)
+    report = individual_level_checks(trace)
     write_trace_csv(trace, args.out, long_path)
     print(report.to_json())
     return 0 if report.all_passed else 1

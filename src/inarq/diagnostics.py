@@ -19,12 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .equivalence import UnderreportedModel, absorb_reporting, canonicalize
-from .errors import (
-    InsufficientDataError,
-    ParameterError,
-    ProvenanceError,
-    TruncationError,
-)
+from .errors import InsufficientDataError, ParameterError, TruncationError
 from .processes import (
     CountSeries,
     Inar1Spec,
@@ -107,9 +102,10 @@ def empirical_moments(series: CountSeries, max_lag: int) -> MomentSummary:
 
 
 def theoretical_observed_moments(
-    model: UnderreportedModel, max_lag: int = MAX_LAG
+    model: UnderreportedModel,
 ) -> tuple[float, float, tuple[float, ...]]:
-    """Closed-form mean, variance and autocorrelations of the observed process.
+    """Closed-form mean, variance and autocorrelations at lags 1..MAX_LAG of
+    the observed process.
 
     Computed through the canonical form, so every member of an equivalence
     class maps to the same signature: the observed marginal is Poisson with
@@ -118,7 +114,7 @@ def theoretical_observed_moments(
     """
     c = canonicalize(model)
     mean = c.q_star * c.lambda_star / (1.0 - c.alpha_star)
-    acf = tuple(c.q_star * c.alpha_star**k for k in range(1, max_lag + 1))
+    acf = tuple(c.q_star * c.alpha_star**k for k in range(1, MAX_LAG + 1))
     return mean, mean, acf
 
 
@@ -173,8 +169,8 @@ def _require_oracle_states(states: float) -> None:
 
 
 def _oracle_truncation(mu: float) -> int:
-    """The oracle's default latent truncation for the latent mean ``mu``: 15 above
-    the point leaving 1e-13 of Poisson(mu).
+    """The oracle's latent truncation for the latent mean ``mu``: 15 above the
+    point leaving 1e-13 of Poisson(mu).
 
     Raises ParameterError when the oracle would hold more than
     ``MAX_ORACLE_STATES`` states. The truncation lies above the mean, so a
@@ -186,11 +182,7 @@ def _oracle_truncation(mu: float) -> int:
     return truncation
 
 
-def joint_pmf_oracle(
-    model: UnderreportedModel,
-    support_cap: int | None = None,
-    truncation: int | None = None,
-) -> np.ndarray:
+def joint_pmf_oracle(model: UnderreportedModel) -> np.ndarray:
     """Stationary joint pmf of two consecutive observed counts, by enumeration.
 
     Returns a ``(support_cap + 1, support_cap + 1)`` float64 array ``joint``
@@ -203,13 +195,13 @@ def joint_pmf_oracle(
         P(a, b) = sum_{x1, x2} Pois(x1; mu) P(x2 | x1) Bin(a; x1, q) Bin(b; x2, q)
 
     with mu = lambda / (1 - alpha). Latent states are enumerated up to
-    ``truncation`` and observed values up to ``support_cap``. By default
-    these are Poisson quantiles computed in this module: 15 above the point
-    leaving 1e-13 of the latent marginal, and 10 above the point leaving
-    1e-12 of the observed one. Raises ParameterError if more than
-    ``MAX_ORACLE_STATES`` latent states would be enumerated, and
-    TruncationError if the retained joint mass (the table's sum) is not above
-    1 - 1e-8.
+    ``truncation``, 15 above the point leaving 1e-13 of the latent marginal
+    (:func:`_oracle_truncation`), and observed values up to ``support_cap``,
+    10 above the point leaving 1e-12 of the observed one and at most
+    ``truncation``. Raises ParameterError if more than ``MAX_ORACLE_STATES``
+    latent states would be enumerated, and TruncationError if the retained
+    joint mass (the table's sum) is not above 1 - 1e-8, which these cut-offs
+    never leave.
     """
     latent = model.latent
     if latent.gamma != 0.0:
@@ -218,15 +210,8 @@ def joint_pmf_oracle(
         )
     lam, alpha, q = latent.lambda_, latent.beta, model.q
     mu = lam / (1.0 - alpha)
-    if truncation is None:
-        truncation = _oracle_truncation(mu)
-    _require_oracle_states(truncation + 1)
-    if support_cap is None:
-        support_cap = min(truncation, _poisson_quantile(q * mu, 1e-12) + 10)
-    if support_cap < 0 or truncation < 0:
-        raise ParameterError("support_cap and truncation must be nonnegative")
-    if support_cap > truncation:
-        support_cap = truncation
+    truncation = _oracle_truncation(mu)
+    support_cap = min(truncation, _poisson_quantile(q * mu, 1e-12) + 10)
 
     pi = _poisson_pmf(mu, truncation)
     immigration = _poisson_pmf(lam, truncation)
@@ -244,8 +229,7 @@ def joint_pmf_oracle(
     mass = float(joint.sum())
     if mass <= 1.0 - 1e-8:
         raise TruncationError(
-            f"retained joint mass {mass} is below 1 - 1e-8; "
-            "increase support_cap/truncation"
+            f"the enumeration oracle retained joint mass {mass}, below 1 - 1e-8"
         )
     return joint
 
@@ -562,11 +546,10 @@ def _pearson(name: str, counts: np.ndarray, probs: np.ndarray, p_floor: float) -
                        detail={"chi2": stat, "bins": int(expected.size), "n": int(n)})
 
 
-def individual_level_checks(
-    trace: PopulationTrace, spec: Inar1Spec, q: float
-) -> TraceCheckReport:
+def individual_level_checks(trace: PopulationTrace) -> TraceCheckReport:
     """Verify the distributional decomposition of an individual-level trace
-    against its fully observed image, :func:`absorb_reporting`.
+    against the fully observed image, :func:`absorb_reporting`, of the
+    parameters (lambda, alpha, q) that generated it, ``trace.params``.
 
     Four stochastic checks, each passing at p >= LEVEL / 4, and one exact.
     From the empty start, first observations at step t of individuals born
@@ -584,14 +567,9 @@ def individual_level_checks(
     ``observation_split_identity`` is the exact split of observed counts
     into first and repeat observations.
     """
-    if trace.params != (spec.lambda_, spec.alpha, q):
-        raise ProvenanceError(
-            f"trace was generated under {trace.params}, not "
-            f"({spec.lambda_}, {spec.alpha}, {q})"
-        )
+    lam, alpha, q = trace.params
     t_len = len(trace)
-    lam = spec.lambda_
-    image = absorb_reporting(spec, q)
+    image = absorb_reporting(Inar1Spec(lam, alpha), q)
     decay = image.gamma  # survival while staying unobserved
     p_floor = LEVEL / 4
 

@@ -153,8 +153,11 @@ def shift_reporting(model: UnderreportedModel, q_target: float) -> Underreported
         gamma'  = gamma + (1 - r) * beta
 
     The interval's lower endpoint lands on the canonical first-order member
-    (gamma' = 0); q_target = 1 gives the fully observed representation.
+    (gamma' = 0); q_target = 1 gives the fully observed representation. A
+    non-finite q_target is a ParameterError, not a point outside the interval.
     """
+    if not math.isfinite(q_target):
+        raise ParameterError(f"target reporting probability must be finite, got {q_target}")
     lower, upper = admissible_reporting_interval(model)
     if not lower - _BOUNDARY_EPS <= q_target <= upper or q_target <= 0.0:
         raise AdmissibleRangeError(q_target, lower, upper)

@@ -35,8 +35,4 @@ class InsufficientDataError(InarError, ValueError):
 
 
 class TruncationError(InarError, ValueError):
-    """The requested truncation leaves too much probability mass unaccounted for."""
-
-
-class ProvenanceError(InarError, ValueError):
-    """A trace was generated under different parameters than those supplied."""
+    """A truncation leaves too much probability mass unaccounted for."""

@@ -241,7 +241,7 @@ def test_criterion_6_individual_level_reconstruction(reseed_once):
             Inar1Spec(LAM, ALPHA), ReportingSpec(q=Q), 100_000, RngStream(seed)
         )
         assert (trace.x_tilde == trace.u_total + trace.v_total).all()
-        rep = individual_level_checks(trace, Inar1Spec(LAM, ALPHA), Q)
+        rep = individual_level_checks(trace)
         by_name = {c.name: c for c in rep.checks}
         assert by_name["first_obs_mean"].passed, rep.to_json()
         assert by_name["first_obs_rates"].passed, rep.to_json()

@@ -60,7 +60,7 @@ def test_appendix_false_rejections():
     failed = []
     for seed in range(41_000, 41_000 + n):
         trace = simulate_individual_level(spec, ReportingSpec(q=Q), T_LEN, RngStream(seed))
-        report = individual_level_checks(trace, spec, Q)
+        report = individual_level_checks(trace)
         if not report.all_passed:
             failed.append((seed, [c.name for c in report.checks if not c.passed]))
     assert len(failed) <= allowed_rejections(n), failed

@@ -135,6 +135,21 @@ class TestSimulate:
                       "--out", str(tmp_path / "x.csv"))
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("doc, key, where", [
+        # q inside the latent object would otherwise load as fully observed.
+        ({"latent": {"kind": "inar1", "lambda": 1.62, "alpha": 0.52, "q": 0.33}},
+         "q", "'latent' of kind 'inar1'"),
+        ({"latent": EXAMPLE_SPEC["latent"], "reporting": {"q": 0.33, "omgea": 0.5}},
+         "omgea", "'reporting'"),
+        ({"latent": EXAMPLE_SPEC["latent"], "reportng": {"q": 0.33}},
+         "reportng", "the model spec"),
+    ], ids=["q_in_latent", "misspelt_omega", "misspelt_reporting"])
+    def test_unknown_key_is_input_error(self, tmp_path, capsys, doc, key, where):
+        assert cli.main(["transform", write_spec(tmp_path, doc), "--to", "canonical"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {where} has unknown key {key!r}"), err
+
 
 class TestReadme:
     def test_simulate_example_line(self, tmp_path):
@@ -177,6 +192,13 @@ class TestTransform:
         assert res.returncode == 3
         doc = json.loads(res.stderr)
         assert doc["admissible_interval"] == [0.33, 1.0]
+
+    @pytest.mark.parametrize("target", ["q=nan", "q=inf"])
+    def test_non_finite_target_is_input_error(self, tmp_path, capsys, target):
+        assert cli.main(["transform", write_spec(tmp_path, EXAMPLE_SPEC), "--to", target]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: target reporting probability must be finite"), err
 
     def test_round_trip_through_canonical(self, tmp_path):
         spec = write_spec(tmp_path, EXAMPLE_SPEC)
@@ -509,6 +531,13 @@ class TestStrictJson:
 
 
 class TestImports:
+    def test_export_list_resolves_once(self):
+        import inarq
+
+        assert len(inarq.__all__) == len(set(inarq.__all__))
+        missing = [name for name in inarq.__all__ if not hasattr(inarq, name)]
+        assert missing == []
+
     def test_cli_import_loads_no_scipy(self):
         code = (
             "import sys, inarq.cli; "

@@ -12,7 +12,6 @@ from inarq import (
     Inar1Spec,
     InsufficientDataError,
     ParameterError,
-    ProvenanceError,
     ReportingSpec,
     RngStream,
     TruncationError,
@@ -185,23 +184,22 @@ class TestJointPmfOracle:
         for mean in (mu, 1e18, MAX_ORACLE_STATES - 1.0):
             with pytest.raises(ParameterError, match="oracle"):
                 _oracle_truncation(mean)
-        # An explicit truncation just past the bound is rejected as well.
+        # Mean 2000 passes the first bound; its truncation, 2352, fails the second.
+        high = UnderreportedModel.from_inar1(Inar1Spec(2000.0, 0.0), 1.0)
+        assert _poisson_quantile(2000.0, 1e-13) + 15 == 2352
         with pytest.raises(ParameterError, match="oracle"):
-            joint_pmf_oracle(EXAMPLE, truncation=MAX_ORACLE_STATES)
-        # The default truncation, up to the largest admitted mean.
+            joint_pmf_oracle(high)
+        # The truncation, up to the largest admitted mean.
         for mean in (LAM / (1 - ALPHA), 300.0, 1_700.0):
             truncation = _oracle_truncation(mean)
             assert truncation == _poisson_quantile(mean, 1e-13) + 15 < MAX_ORACLE_STATES
 
-    def test_support_cap_clamped_to_truncation(self):
-        clamped = joint_pmf_oracle(EXAMPLE, support_cap=50, truncation=20)
-        assert clamped.shape == (21, 21)
-        np.testing.assert_array_equal(
-            clamped, joint_pmf_oracle(EXAMPLE, support_cap=20, truncation=20))
-
-    def test_truncation_too_small_rejected(self):
-        with pytest.raises(TruncationError):
-            joint_pmf_oracle(EXAMPLE, support_cap=1, truncation=2)
+    def test_truncation_too_small_rejected(self, monkeypatch):
+        # Cut after latent state 2, the table keeps 0.197 of the joint mass.
+        monkeypatch.setattr(diagnostics, "_oracle_truncation", lambda mu: 2)
+        with pytest.raises(TruncationError, match=r"retained joint mass 0\.1967") as err:
+            joint_pmf_oracle(EXAMPLE)
+        assert "support_cap" not in str(err.value)
 
     @pytest.mark.parametrize("lam, alpha, q", [
         (LAM, ALPHA, Q),
@@ -523,7 +521,7 @@ def trace():
 
 class TestIndividualLevelChecks:
     def test_all_checks_pass_on_matching_trace(self, trace):
-        report = individual_level_checks(trace, Inar1Spec(LAM, ALPHA), Q)
+        report = individual_level_checks(trace)
         assert report.all_passed, report.to_json()
         assert [c.name for c in report.checks] == [
             "first_obs_mean",
@@ -540,21 +538,17 @@ class TestIndividualLevelChecks:
         t = simulate_individual_level(
             Inar1Spec(LAM, ALPHA), ReportingSpec(q=Q), t_len, RngStream(5)
         )
-        first = individual_level_checks(t, Inar1Spec(LAM, ALPHA), Q).checks[0]
+        first = individual_level_checks(t).checks[0]
         want = math.fsum(Q * LAM * decay**i for s in range(t_len) for i in range(s + 1))
         assert first.detail == {"count": int(t.u_total.sum()),
                                 "expected": pytest.approx(want, rel=1e-12)}
         assert first.z == pytest.approx((first.detail["count"] - want) / math.sqrt(want))
 
-    def test_provenance_mismatch_rejected(self, trace):
-        with pytest.raises(ProvenanceError):
-            individual_level_checks(trace, Inar1Spec(LAM, 0.3), Q)
-
     def test_degenerate_gap_check_under_full_observation(self):
         t = simulate_individual_level(
             Inar1Spec(LAM, ALPHA), ReportingSpec(q=1.0), 5_000, RngStream(241)
         )
-        report = individual_level_checks(t, Inar1Spec(LAM, ALPHA), 1.0)
+        report = individual_level_checks(t)
         gap = next(c for c in report.checks if c.name == "gap_distribution")
         assert gap.passed and gap.estimate == 1.0
 
@@ -564,7 +558,7 @@ class TestIndividualLevelChecks:
         assert t.x_tilde.sum() == 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no numpy warning from an empty trace
-            report = individual_level_checks(t, spec, 0.5)
+            report = individual_level_checks(t)
         assert report.all_passed, report.to_json()
         notes = {c.name: c.detail["note"] for c in report.checks if "note" in (c.detail or {})}
         assert notes == {
@@ -578,5 +572,5 @@ class TestIndividualLevelChecks:
         t = simulate_individual_level(
             Inar1Spec(LAM, 0.0), ReportingSpec(q=Q), 5_000, RngStream(251)
         )
-        report = individual_level_checks(t, Inar1Spec(LAM, 0.0), Q)
+        report = individual_level_checks(t)
         assert report.all_passed, report.to_json()

@@ -1015,7 +1015,7 @@ class TestIndividualsView:
 
     def test_checks_and_csv_build_no_individual_records(self, tmp_path):
         t = self.small()
-        individual_level_checks(t, Inar1Spec(LAM, ALPHA), Q)
+        individual_level_checks(t)
         t.to_csv()
         t.to_long_csv()
         write_trace_csv(t, tmp_path / "trace.csv", tmp_path / "trace_long.csv")
