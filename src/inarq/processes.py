@@ -149,33 +149,65 @@ class CountSeries:
         return int(self.values.size)
 
     def to_csv(self) -> str:
-        return _series_csv(self).decode("ascii")
+        return b"".join(_series_csv(self)).decode("ascii")
 
 
 # Rows rendered at once by _csv_rows; bounds its working arrays.
 _CSV_CHUNK_ROWS = 1 << 16
 
 
-def _csv_rows(header: bytes, columns) -> bytes:
-    """``header``, then the CSV rows of equal-length columns: fields joined by
-    commas and every row ended by a newline.
+def _step_digits(line: np.ndarray, k: int, start: int) -> None:
+    """Fill ``line`` with decimal digit k (k = 0 the units) of the steps
+    ``start``, ``start + 1``, ..., as ASCII codes, and NUL where it is a
+    leading zero.
+
+    Digit k runs through 0..9 in runs of 10**k steps, so it repeats with
+    period 10**(k + 1): the first period (or the whole line, if shorter) is
+    filled run by run, at most 12 runs, and then copied onto the rest in
+    doubling slices.
+    """
+    run = 10**k
+    filled = min(line.size, 10 * run)
+    i, t = 0, start
+    while i < filled:
+        j = min(filled, i + run - t % run)
+        line[i:j] = ord("0") + t // run % 10
+        t += j - i
+        i = j
+    while filled < line.size:
+        more = min(filled, line.size - filled)
+        line[filled : filled + more] = line[:more]
+        filled += more
+    if k and start < run:
+        line[: run - start] = 0
+
+
+def _csv_rows(header: bytes, columns, steps: bool = False):
+    """Yield ``header``, then the CSV rows of equal-length columns in chunks:
+    fields joined by commas and every row ended by a newline. With
+    ``steps``, every row starts with its row number.
 
     An int64 column (nonnegative) is printed in decimal; a uint8 column holds
     ASCII codes, printed as they are. Each chunk of ``_CSV_CHUNK_ROWS`` rows is
     laid out as one uint8 block with a line per character position: every
     int64 column takes as many lines as the chunk's largest value has digits,
-    filled by repeated divmod by 10, and every column is followed by a
-    separator line. A mask drops each field's leading zeros but keeps a lone
-    0, and one boolean index of the transposed block compacts the chunk into
-    its rows, so the working memory stays O(chunk) whatever the number of rows.
+    filled by repeated divmod by 10 (the row numbers by
+    :func:`_step_digits`), and every column is followed by a separator
+    line. A leading zero is written as NUL, except a lone 0, so one ``!= 0``
+    mask over the block's contiguous transpose compacts the chunk into its
+    rows, and the working memory stays O(chunk) whatever the number of rows.
     """
-    out = [header]
+    yield header
     for start in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
         parts = [c[start : start + _CSV_CHUNK_ROWS] for c in columns]
+        n = parts[0].size
         widths = [1 if c.dtype == np.uint8 else len(str(c.max())) for c in parts]
-        block = np.empty((sum(widths) + len(parts), parts[0].size), dtype=np.uint8)
-        keep = np.ones(block.shape, dtype=bool)
-        end = 0
+        end = len(str(start + n - 1)) + 1 if steps else 0  # the row numbers and a comma
+        block = np.empty((end + sum(widths) + len(parts), n), dtype=np.uint8)
+        for k in range(end - 1):
+            _step_digits(block[end - 2 - k], k, start)
+        if steps:
+            block[end - 1] = ord(",")
         for part, width in zip(parts, widths):
             if part.dtype == np.uint8:
                 block[end] = part
@@ -184,26 +216,27 @@ def _csv_rows(header: bytes, columns) -> bytes:
                     part = part.astype(np.uint32)
                 last = end + width - 1
                 for j in range(last, end - 1, -1):
-                    if j < last:  # a leading zero once nothing is left of the value
-                        np.not_equal(part, 0, out=keep[j])
+                    lead = part == 0 if j < last else None  # nothing left of the value
                     part, block[j] = np.divmod(part, 10)
-                block[end : last + 1] += ord("0")
+                    block[j] += ord("0")
+                    if lead is not None:
+                        block[j][lead] = 0
             end += width + 1
             block[end - 1] = ord(",")
         block[-1] = ord("\n")
-        out.append(block.T[keep.T].tobytes())
-    return b"".join(out)
+        chars = block.T.ravel()
+        yield chars[chars != 0]
 
 
-def _series_csv(series: CountSeries) -> bytes:
-    return _csv_rows(b"t,count\n", (np.arange(len(series)), series.values))
+def _series_csv(series: CountSeries):
+    return _csv_rows(b"t,count\n", (series.values,), steps=True)
 
 
 def write_series_csv(series: CountSeries, path) -> None:
     """Write ``series.to_csv()`` to ``path``: the header ``t,count``, then one
-    row per step, as the bytes :func:`_csv_rows` renders."""
+    row per step, as the chunks :func:`_csv_rows` renders."""
     with open(path, "wb") as fh:
-        fh.write(_series_csv(series))
+        fh.writelines(_series_csv(series))
 
 
 # Expected entries per block of steps: appearances, or on the unit-gap path
@@ -212,6 +245,9 @@ _BLOCK_APPEARANCES = 1 << 15
 # Most expected appearances, or chains counted as intervals, the first block
 # (or the whole individual-level trace) may lay out (about 0.7 GB of arrays).
 _MAX_BLOCK_APPEARANCES = 1 << 24
+# Largest stationary mean of a series drawn on the unit-gap path, whose
+# per-step class counts are summed by a float-weighted bincount: 2**53.
+_MAX_EXACT_MEAN = 1 << 53
 # Fewest chains per step a length class must expect for the unit-gap path to
 # draw it as per-step counts instead of as chains.
 _DENSE_CLASS_CHAINS = 3.0
@@ -292,9 +328,10 @@ def _chain_blocks(lam: float, rho: float, steps: int, rng: RngStream, under_way=
     With ``dense`` (for the unit-gap path of :func:`_count_chains`), every class k
     that expects at least ``_DENSE_CLASS_CHAINS`` chains per step is drawn
     instead as per-step counts, ``hist[k - 1, s]`` ~ Poisson(lam * (1 - rho)
-    * rho**(k - 1)) chains of length k arriving at step t0 + s; they never
-    exist as arrays. Blocks are sized to about ``_BLOCK_APPEARANCES``
-    entries laid out: appearances, or with ``dense`` chains and counts.
+    * rho**(k - 1)) chains of length k arriving at step t0 + s, drawn by
+    :func:`_poisson_counts`; they never exist as arrays. Blocks are sized
+    to about ``_BLOCK_APPEARANCES`` entries laid out: appearances, or with
+    ``dense`` chains and counts.
 
     Yields, per block, its first step, the sparse chains' arrival steps and
     lengths (in class order, not step order) and ``hist`` (no rows without
@@ -305,12 +342,12 @@ def _chain_blocks(lam: float, rho: float, steps: int, rng: RngStream, under_way=
     skip = _dense_classes(lam, rho) if dense else 0
     per_step = skip + lam * rho**skip if dense else lam / (1.0 - rho)
     block = int(min(steps, max(1.0, _BLOCK_APPEARANCES / per_step)))
-    rates = lam * (1.0 - rho) * rho ** np.arange(skip, dtype=np.float64)[:, None]
+    rates = lam * (1.0 - rho) * rho ** np.arange(skip, dtype=np.float64)
     for t0 in range(0, steps, block):
         width = min(block, steps - t0)
         lengths = _class_lengths(lam * width, rho, skip, rng)
         arrivals = g.integers(t0, t0 + width, lengths.size)
-        hist = g.poisson(rates, (skip, width)) if skip else np.zeros((0, width), np.int64)
+        hist = _poisson_counts(rates, width, g)
         if t0 == 0:
             arrivals = np.concatenate((under_way[0], arrivals))
             lengths = np.concatenate((under_way[1], lengths))
@@ -363,19 +400,30 @@ def _require_block_size(lam: float, rho: float, reach: float, as_intervals: bool
     """Reject a spec whose first block would lay out too many chains or appearances.
 
     That block holds the chains under way at step 0, Poisson(lam * reach /
-    (1 - rho)) of them, and at least one step's immigrants, Poisson(lam). With
-    ``as_intervals`` (the unit-gap path of :func:`_count_chains`) only the
-    chains are laid out; otherwise each chain makes 1 / (1 - rho) appearances
-    on average, and all of them are. A later block lays out about
-    max(per-step entries, _BLOCK_APPEARANCES) entries, and a step's entries
-    are at most lam chains plus one count per dense class, or lam / (1 - rho)
-    appearances, so it stays under the bound whenever the first block does.
+    (1 - rho)) of them, and at least one step's immigrants, Poisson(lam).
+    Without ``as_intervals`` each chain makes 1 / (1 - rho) appearances on
+    average, and all of them are laid out. With it (the unit-gap path of
+    :func:`_count_chains`) only the chains are, and only those past the
+    first ``_dense_classes`` length classes, a share rho**skip of them; the
+    path also sums per-step counts as doubles, exact below 2**53, so it
+    rejects a spec whose stationary mean lam / (1 - rho) passes that. A
+    later block lays out about max(per-step entries, _BLOCK_APPEARANCES)
+    entries, and a step's entries are at most its laid-out chains plus one
+    count per dense class, or lam / (1 - rho) appearances, so it stays
+    under the bound whenever the first block does.
     """
     expected = lam * reach / (1.0 - rho) + lam
-    if as_intervals:
-        _require_layout(expected, "chains")
-    else:
+    if not as_intervals:
         _require_layout(expected / (1.0 - rho), "chain appearances")
+        return
+    mean = lam / (1.0 - rho)
+    if mean > _MAX_EXACT_MEAN:
+        raise ParameterError(
+            f"the simulated series would have a stationary mean of about {mean:.3g}, more "
+            f"than the bound {_MAX_EXACT_MEAN} below which its counts are summed exactly; "
+            f"lower the immigration rate or the persistence"
+        )
+    _require_layout(expected * rho ** _dense_classes(lam, rho), "chains")
 
 
 def _count_chains(blocks, gap_draw, steps: int) -> tuple[np.ndarray, dict[str, int]]:
@@ -530,6 +578,8 @@ def simulate_inar_inf(
 _TABLE_TOP = 32
 # Table entry of a cell that a CDF step lies strictly inside: no draw is fixed.
 _STRADDLE = 255
+# Poisson mass a row of the class-count table may drop past its last draw.
+_POISSON_TAIL = 2.0**-53
 
 
 def _binomial_table(p: float, n: int) -> np.ndarray:
@@ -542,35 +592,113 @@ def _binomial_table(p: float, n: int) -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=4)
-def _inversion_table(q: float) -> tuple[np.ndarray, np.ndarray]:
-    """The Binomial(n, q) inversion table for n = 0..``_TABLE_TOP``, read-only.
+def _byte_table(pmf: np.ndarray, last: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The byte-indexed inversion table of the laws in the rows of ``pmf``, read-only.
 
-    ``cdf[n, k]`` is 256 times P(Bin(n, q) <= k), the running sum of
-    :func:`_binomial_table`'s row n, with ``+`` and ``*`` only, so it is the
-    same on every platform; it is exactly 256 from k = n on.
-    ``table[n * 256 + b]`` is the draw for every uniform in [b, b + 1) / 256,
-    or ``_STRADDLE`` where a step of row n lies strictly inside that cell.
+    Row r puts its mass on 0..``last[r]`` (at most ``_STRADDLE - 1``).
+    ``cdf[r, k]`` is 256 times the running sum of its pmf, exactly 256 from
+    k = ``last[r]`` on. ``table[r * 256 + b]`` is the draw for every uniform
+    in [b, b + 1) / 256, or ``_STRADDLE`` where a step of row r lies
+    strictly inside that cell.
     """
-    cdf = np.cumsum(_binomial_table(q, _TABLE_TOP), axis=1)
-    cdf[np.triu_indices(_TABLE_TOP + 1)] = 1.0
+    cdf = np.cumsum(pmf, axis=1)
+    cdf[np.arange(cdf.shape[1]) >= last[:, None]] = 1.0
     cdf = np.minimum(cdf, 1.0) * 256.0  # a sum rounded above 1 would leave the last cell
     cells = np.arange(256.0)
     table = np.array([np.searchsorted(row, cells, side="right") for row in cdf], dtype=np.uint8)
+    table = table.reshape(len(cdf), cells.size)
     rows, steps = np.nonzero(cdf != np.floor(cdf))
     table[rows, cdf[rows, steps].astype(np.int64)] = _STRADDLE
     table.flags.writeable = cdf.flags.writeable = False
     return table.ravel(), cdf
 
 
+def _invert_bytes(table: np.ndarray, cdf: np.ndarray, rows: np.ndarray,
+                  g: np.random.Generator) -> np.ndarray:
+    """A draw from row ``rows[i]`` of a :func:`_byte_table` for every entry i.
+
+    Each entry inverts its row's CDF at a uniform U = (b + u) / 256 from one
+    random byte b: the table gives the draw unless a CDF step lies inside
+    b's cell, and only then is the double u drawn and compared with the
+    row's steps in the cell's own scale, 256 F - b, which loses no precision.
+    """
+    cell = g.integers(0, 256, rows.size, dtype=np.uint8)
+    draws = table[(rows << 8) | cell].astype(np.int64)
+    straddling = np.flatnonzero(draws == _STRADDLE)
+    u = g.random(straddling.size)
+    steps_below = cdf[rows[straddling]] - cell[straddling, None] <= u[:, None]
+    draws[straddling] = steps_below.sum(axis=1)
+    return draws
+
+
+@lru_cache(maxsize=4)
+def _inversion_table(q: float) -> tuple[np.ndarray, np.ndarray]:
+    """The :func:`_byte_table` of Binomial(n, q) for n = 0..``_TABLE_TOP``.
+
+    Its CDF is the running sum of :func:`_binomial_table`'s row n, with ``+``
+    and ``*`` only, so it is the same on every platform.
+    """
+    return _byte_table(_binomial_table(q, _TABLE_TOP), np.arange(_TABLE_TOP + 1))
+
+
+def _poisson_row(rate: float) -> np.ndarray | None:
+    """The Poisson(``rate``) pmf on 0..c, c the least count with P(X > c)
+    below ``_POISSON_TAIL``; None when c would pass ``_STRADDLE - 1``, the
+    largest draw a table cell holds (a rate above about 145).
+
+    The pmf is exp(-rate) times a running product of rate / k, so past one
+    exp it takes ``*`` and ``/`` only, like the binomial table's ``+`` and
+    ``*``; the oracle's log-factorial pmf (``diagnostics._poisson_pmf``)
+    serves rates whose exp(-rate) underflows, which no row here has. The
+    tail is summed from the top of a support twice as long as a row may be.
+    """
+    if rate >= _STRADDLE:
+        return None
+    ratios = np.concatenate(([1.0], rate / np.arange(1, 2 * _STRADDLE)))
+    pmf = math.exp(-rate) * np.cumprod(ratios)
+    beyond = np.cumsum(pmf[:0:-1])[::-1]  # P(c < X < 2 * _STRADDLE) for c = 0, 1, ...
+    cut = int(np.argmax(beyond < _POISSON_TAIL))
+    return pmf[: cut + 1] if cut < _STRADDLE else None
+
+
+@lru_cache(maxsize=4)
+def _poisson_table(rates: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The :func:`_byte_table` of the Poisson rows of ``rates`` that fit one,
+    by :func:`_poisson_row`, in order, and the read-only mask of those rates."""
+    rows = [_poisson_row(rate) for rate in rates]
+    fits = np.array([row is not None for row in rows], dtype=bool)
+    rows = [row for row in rows if row is not None]
+    pmf = np.zeros((len(rows), max((row.size for row in rows), default=1)))
+    for r, row in enumerate(rows):
+        pmf[r, : row.size] = row
+    table, cdf = _byte_table(pmf, np.array([row.size - 1 for row in rows], dtype=np.int64))
+    fits.flags.writeable = False
+    return table, cdf, fits
+
+
+def _poisson_counts(rates: np.ndarray, width: int, g: np.random.Generator) -> np.ndarray:
+    """counts[k, s] ~ Poisson(``rates[k]``), independent, for s below ``width``.
+
+    A rate whose row fits the cached :func:`_poisson_table` is drawn from one
+    random byte per count (:func:`_invert_bytes`); a higher one by numpy's
+    Poisson sampler. The dropped tail of a row, below 2**-53 per draw,
+    is below what a double uniform resolves.
+    """
+    table, cdf, fits = _poisson_table(tuple(rates.tolist()))
+    counts = np.empty((rates.size, width), dtype=np.int64)
+    if not fits.all():
+        counts[~fits] = g.poisson(rates[~fits, None], (rates.size - fits.sum(), width))
+    if fits.any():
+        rows = np.repeat(np.arange(len(cdf)), width)
+        counts[fits] = _invert_bytes(table, cdf, rows, g).reshape(-1, width)
+    return counts
+
+
 def _thin(counts: np.ndarray, q: float, g: np.random.Generator) -> np.ndarray:
     """An independent Binomial(n, q) draw for every entry n of ``counts``.
 
-    While no count exceeds ``_TABLE_TOP``, each entry inverts its CDF at a
-    uniform U = (b + u) / 256 from one random byte b: the cached table gives
-    the draw unless a CDF step lies inside b's cell, and only then is the
-    double u drawn and compared with the row's steps in the cell's own
-    scale, 256 F - b, which loses no precision.
+    While no count exceeds ``_TABLE_TOP``, each entry is drawn from one random
+    byte by :func:`_invert_bytes` on the cached :func:`_inversion_table`.
 
     Larger counts are drawn in order of their counts and scattered back, so
     numpy's binomial sampler keeps its set-up while n repeats instead of
@@ -579,14 +707,7 @@ def _thin(counts: np.ndarray, q: float, g: np.random.Generator) -> np.ndarray:
     """
     top = counts.max(initial=0)
     if top <= _TABLE_TOP:
-        table, cdf = _inversion_table(q)
-        cell = g.integers(0, 256, counts.size, dtype=np.uint8)
-        thinned = table[(counts << 8) | cell].astype(counts.dtype)
-        straddling = np.flatnonzero(thinned == _STRADDLE)
-        u = g.random(straddling.size)
-        steps_below = cdf[counts[straddling]] - cell[straddling, None] <= u[:, None]
-        thinned[straddling] = steps_below.sum(axis=1)
-        return thinned
+        return _invert_bytes(*_inversion_table(q), counts, g)
     key = counts.astype(np.uint16) if top < 1 << 16 else counts
     order = np.argsort(key, kind="stable")
     thinned = np.empty_like(counts)
@@ -706,21 +827,28 @@ class PopulationTrace:
             for b, d, s, e in zip(self.births.tolist(), self.deaths.tolist(), [0, *ends], ends)
         )
 
-    def _csv(self) -> bytes:
-        columns = (np.arange(len(self)), self.x, self.x_tilde, self.u_total, self.v_total)
-        return _csv_rows(b"t,x,x_tilde,u_total,v_total\n", columns)
+    def _csv(self):
+        columns = (self.x, self.x_tilde, self.u_total, self.v_total)
+        return _csv_rows(b"t,x,x_tilde,u_total,v_total\n", columns, steps=True)
 
-    def _long_csv(self) -> bytes:
+    def _long_csv(self):
         rows = np.concatenate((self.u_counts, self.v_counts))
         kind = np.repeat(np.array([ord("u"), ord("v")], dtype=np.uint8),
                          [len(self.u_counts), len(self.v_counts)])
-        order = np.lexsort((kind, rows[:, 1], rows[:, 0]))
+        # Each table comes sorted by (t, i), so a stable sort of the stacked
+        # pairs merges them and keeps a u row before a v row of the same pair.
+        # Every t and i of a simulated trace is below its length, and then
+        # one int64 key, t * len + i, orders the pairs.
+        if rows[:, :2].max(initial=0) < len(self):
+            order = np.argsort(rows[:, 0] * len(self) + rows[:, 1], kind="stable")
+        else:
+            order = np.lexsort((rows[:, 1], rows[:, 0]))
         rows, kind = rows[order], kind[order]
         return _csv_rows(b"t,i,kind,count\n", (rows[:, 0], rows[:, 1], kind, rows[:, 2]))
 
     def to_csv(self) -> str:
         """One row ``t,x,x_tilde,u_total,v_total`` per step, after that header."""
-        return self._csv().decode("ascii")
+        return b"".join(self._csv()).decode("ascii")
 
     def to_long_csv(self) -> str:
         """The rows of both decomposition tables, ordered by (t, i, kind).
@@ -729,15 +857,15 @@ class PopulationTrace:
         (first observations at t of individuals born at t-i) and ``v`` for a
         row of ``v_counts`` (observations at t whose previous one was at t-i).
         """
-        return self._long_csv().decode("ascii")
+        return b"".join(self._long_csv()).decode("ascii")
 
 
 def write_trace_csv(trace: PopulationTrace, path, long_path) -> None:
     """Write ``trace.to_csv()`` to ``path`` and ``trace.to_long_csv()`` to ``long_path``."""
     with open(path, "wb") as fh:
-        fh.write(trace._csv())
+        fh.writelines(trace._csv())
     with open(long_path, "wb") as fh:
-        fh.write(trace._long_csv())
+        fh.writelines(trace._long_csv())
 
 
 def _tally_pairs(t: np.ndarray, i: np.ndarray, t_len: int) -> np.ndarray:

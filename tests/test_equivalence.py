@@ -9,14 +9,18 @@ from inarq import (
     GeomInarSpec,
     Inar1Spec,
     ParameterError,
+    ReportingSpec,
+    RngStream,
     UnderreportedModel,
     absorb_reporting,
     admissible_reporting_interval,
+    apply_reporting,
     canonicalize,
     curve_to_csv,
     equivalence_curve,
     expand_lags,
     shift_reporting,
+    simulate_inar1,
     split_reporting,
 )
 from inarq.equivalence import LAYOUT_MAX_MEAN, simulation_route
@@ -350,6 +354,22 @@ class TestSimulationRoute:
         with pytest.raises(ParameterError, match="chain appearances"):
             _require_geom_block_size(shift_reporting(model, 1.0).latent)
         assert simulation_route(model) == (Inar1Spec(1e-6, 0.9999999), 0.5)
+
+    def test_high_rate_canonical_form_is_drawn(self):
+        # 1.69e7 chains under way at step 0 and arriving at it, but all except
+        # about 4 fall in the classes drawn as per-step counts, so the
+        # canonical form is drawable and the image's gap layout, about 7e6
+        # appearances per step, is never chosen.
+        alpha = q = 0.40996
+        model = UnderreportedModel.from_inar1(Inar1Spec(1e7, alpha), q)
+        spec, q_route = simulation_route(model)
+        assert spec == Inar1Spec(1e7, alpha) and q_route == q
+        t_len, rng = 100, RngStream(17)
+        observed = apply_reporting(simulate_inar1(spec, t_len, rng), ReportingSpec(q_route), rng)
+        mean = model.observed_mean
+        # Poisson marginal, lag-k autocorrelation q * alpha**k < alpha**k.
+        se = math.sqrt(mean * (1.0 + alpha) / (1.0 - alpha) / t_len)
+        assert abs(observed.values.mean() - mean) <= 6 * se
 
     def test_unrepresentable_canonical_form_lays_out_the_image(self):
         # lambda_star = 20 * 0.5 * 0.5 / 1e-300 is past the largest Poisson rate.

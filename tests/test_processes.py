@@ -33,7 +33,12 @@ from inarq.processes import (
     _dense_classes,
     _inversion_table,
     _MAX_BLOCK_APPEARANCES,
+    _MAX_EXACT_MEAN,
     _MAX_STEPS,
+    _POISSON_TAIL,
+    _poisson_counts,
+    _poisson_row,
+    _poisson_table,
     _require_block_size,
     _require_geom_block_size,
     _thin,
@@ -176,13 +181,33 @@ class TestBlockBound:
 
     @pytest.mark.parametrize("as_intervals", [True, False])
     def test_bound_on_either_side(self, as_intervals):
-        rho = 0.75
+        # No length class is dense at rates this low, so the unit-gap path
+        # lays out every chain.
+        rho = 1.0 - 1e-6
+        assert _dense_classes(_MAX_BLOCK_APPEARANCES * (1.0 - rho), rho) == 0
         per_chain = 1.0 if as_intervals else 1.0 / (1.0 - rho)
         # rho as the reach: chains = lam / (1 - rho).
         at_bound = _MAX_BLOCK_APPEARANCES * (1.0 - rho) / per_chain
         _require_block_size(at_bound * 0.999, rho, rho, as_intervals)
         with pytest.raises(ParameterError, match=str(_MAX_BLOCK_APPEARANCES)):
             _require_block_size(at_bound * 1.001, rho, rho, as_intervals)
+
+    def test_unit_gap_path_counts_only_the_chains_it_lays_out(self):
+        # lambda = 1e7, rho = 0.40996: 1.69e7 chains under way at step 0 and
+        # arriving at it, but the first 17 length classes are per-step counts,
+        # which leaves about 4 chains.
+        lam, rho = 1e7, 0.40996
+        assert lam * rho / (1.0 - rho) + lam > _MAX_BLOCK_APPEARANCES
+        assert _dense_classes(lam, rho) == 17
+        _require_block_size(lam, rho, rho, True)
+
+    def test_unit_gap_mean_is_bounded_for_exact_sums(self):
+        rho = 0.5
+        at_bound = _MAX_EXACT_MEAN * (1.0 - rho)
+        _require_block_size(at_bound * 0.999, rho, rho, True)
+        with pytest.raises(ParameterError, match=f"the bound {_MAX_EXACT_MEAN} "):
+            _require_block_size(at_bound * 1.001, rho, rho, True)
+        assert _MAX_EXACT_MEAN == 2**53
 
     @pytest.mark.parametrize("simulate, t_len, burn_in", [
         (lambda t, b: simulate_inar1(Inar1Spec(LAM, ALPHA), t, RngStream(1), burn_in=b), 10**11, 0),
@@ -260,6 +285,26 @@ class TestCsvAgainstReference:
             u_counts=table, v_counts=table[::3], gaps=[], births=empty, deaths=empty,
             obs_times=empty, obs_owner=empty, params=(LAM, ALPHA, Q), seed=(0, 0),
         )
+
+    def test_chunks_starting_inside_decades(self, tmp_path, monkeypatch):
+        # 7-row chunks of 1234 rows: chunks start at every residue mod 10 and
+        # cross t = 10, 100 and 1000 inside a chunk.
+        monkeypatch.setattr(processes, "_CSV_CHUNK_ROWS", 7)
+        s = CountSeries(np.random.default_rng(5).poisson(30.0, 1234), (0, 0), 0, "x")
+        expected = reference_series_csv(s.values)
+        assert_same_csv(s.to_csv(), expected)
+        write_series_csv(s, tmp_path / "series.csv")
+        assert_same_csv((tmp_path / "series.csv").read_bytes(), expected)
+        trace = simulate_individual_level(Inar1Spec(LAM, ALPHA), ReportingSpec(q=Q), 1234,
+                                          RngStream(9))
+        wide, long = reference_trace_csvs(trace)
+        assert_same_csv(trace.to_csv(), wide)
+        assert_same_csv(trace.to_long_csv(), long)
+        paths = tmp_path / "trace.csv", tmp_path / "trace_long.csv"
+        write_trace_csv(trace, *paths)
+        assert_same_csv(paths[0].read_bytes(), wide)
+        assert_same_csv(paths[1].read_bytes(), long)
+        assert long.count("\n") > 1000  # the long CSV's t crosses 1000 inside its chunks too
 
     @pytest.mark.parametrize("make, kinds", [
         (lambda: simulate_individual_level(Inar1Spec(LAM, ALPHA), ReportingSpec(q=Q), 5_000,
@@ -873,6 +918,92 @@ class TestThinTable:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 1
+
+
+# The dense benchmark spec's canonical form, inar1(28, 0.7), draws its first
+# three length classes as per-step counts at these rates.
+DENSE_CLASS_RATES = (8.4, 5.88, 4.116)
+# A rate whose Poisson row just fits a byte table: from about 145.1 on, the
+# row would pass the largest draw a table cell holds.
+TOP_TABLE_RATE = 145.0
+
+
+class TestPoissonTable:
+    """Per-step class counts of a rate up to about 145 are drawn from one
+    random byte each and a Poisson table cached per set of rates."""
+
+    @pytest.mark.parametrize("rate", [*DENSE_CLASS_RATES, 3.0, TOP_TABLE_RATE])
+    def test_row_drops_a_tail_below_2_to_the_minus_53(self, rate):
+        cut = _poisson_row(rate).size - 1
+        assert sps.poisson.sf(cut, rate) < _POISSON_TAIL == 2.0**-53
+        assert sps.poisson.sf(cut - 1, rate) >= _POISSON_TAIL  # the least such cut
+
+    def test_rows_past_the_top_cell_are_left_out(self):
+        assert _poisson_row(TOP_TABLE_RATE).size >= 250
+        assert _poisson_row(146.0) is None and _poisson_row(1e6) is None
+
+    @pytest.mark.parametrize("rates, seeds", [
+        (DENSE_CLASS_RATES, (141, 142)),
+        ((3.0,), (143, 144)),
+        ((TOP_TABLE_RATE,), (145, 146)),
+    ], ids=["dense_spec", "rate_3", "top_rate"])
+    def test_law(self, reseed_once, rates, seeds):
+        # Each rate's counts against the Poisson pmf: a chi-square test at the
+        # 0.01% level over the counts expecting at least 5 draws, the tails
+        # of either side merged into one bin each.
+        width = 400_000
+
+        def check(seed):
+            counts = _poisson_counts(np.array(rates), width, RngStream(seed).generator)
+            assert counts.shape == (len(rates), width) and counts.dtype == np.int64
+            for rate, row in zip(rates, counts):
+                k = np.arange(row.max() + 2)
+                expected = width * sps.poisson.pmf(k, rate)
+                lo, hi = np.flatnonzero(expected >= 5)[[0, -1]]
+                observed = np.bincount(np.clip(row, lo, hi) - lo, minlength=hi - lo + 1)
+                expected = expected[lo : hi + 1]
+                expected[0] = width * sps.poisson.cdf(lo, rate)
+                expected[-1] = width * sps.poisson.sf(hi - 1, rate)
+                stat = float(((observed - expected) ** 2 / expected).sum())
+                assert sps.chi2.sf(stat, hi - lo) > 1e-4, (rate, stat, hi - lo)
+
+        reseed_once(check, *seeds)
+
+    @pytest.mark.parametrize("rates, poisson_rows", [
+        (DENSE_CLASS_RATES, 0),
+        ((200.0, 8.4, 5.88), 1),
+        ((1e4, 150.0, TOP_TABLE_RATE, 3.0), 2),
+    ])
+    def test_only_rows_past_the_table_call_poisson(self, rates, poisson_rows):
+        width = 1_000
+        g = CountingGenerator(RngStream(4).generator)
+        counts = _poisson_counts(np.array(rates), width, g)
+        assert g.calls["poisson"] == (poisson_rows > 0)
+        assert g.values["poisson"] == poisson_rows * width
+        assert g.calls["integers"] == 1
+        assert g.values["integers"] == (len(rates) - poisson_rows) * width
+        # every row keeps its own rate, whichever way it was drawn
+        means = counts.mean(axis=1)
+        assert (np.abs(means - rates) <= 6 * np.sqrt(np.array(rates) / width)).all()
+
+    def test_table_is_cached_and_read_only(self):
+        table, cdf, fits = _poisson_table(DENSE_CLASS_RATES)
+        again = _poisson_table(DENSE_CLASS_RATES)
+        assert all(a is b for a, b in zip(again, (table, cdf, fits)))
+        fresh = _poisson_table.__wrapped__(DENSE_CLASS_RATES)
+        assert all(np.array_equal(a, b) for a, b in zip(fresh, (table, cdf, fits)))
+        for array in (table, cdf, fits):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1
+
+    def test_dense_classes_draw_no_poisson_counts(self):
+        # The canonical form of the dense spec: its 3 x 5000 per-step class
+        # counts come from the table, so numpy's Poisson sampler draws only
+        # the start's and the blocks' class counts, a few dozen.
+        rng = counting_stream(13)
+        simulate_inar1(Inar1Spec(28.0, 0.7), 5_000, rng)
+        assert rng.generator.values["poisson"] <= 100, rng.generator.values
 
 
 @pytest.fixture(scope="module")
