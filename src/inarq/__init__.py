@@ -8,9 +8,7 @@ by Monte Carlo.
 
 from .diagnostics import (
     EquivalenceReport,
-    MomentSummary,
     TraceCheckReport,
-    empirical_moments,
     equivalence_mc_test,
     individual_level_checks,
     joint_pmf_oracle,
@@ -77,7 +75,6 @@ __all__ = [
     "InarError",
     "InarPSpec",
     "InsufficientDataError",
-    "MomentSummary",
     "ParameterError",
     "PopulationTrace",
     "ReportingSpec",
@@ -92,7 +89,6 @@ __all__ = [
     "binomial_thin",
     "canonicalize",
     "curve_to_csv",
-    "empirical_moments",
     "equivalence_curve",
     "equivalence_mc_test",
     "expand_lags",

@@ -1,12 +1,11 @@
 """Moment machinery and statistical verification of model equivalence.
 
-Closed-form observable signatures, empirical summaries with batch-means
-standard errors, a brute-force enumeration oracle for the stationary
-bivariate law, a two-sample Monte-Carlo equivalence test, and distributional
-checks for the individual-level trace. Every stochastic gate gives a
-p-value, and a verdict of k gates passes only when each has p >= LEVEL / k
-(Bonferroni), so a verdict on equivalent inputs fails with probability at
-most LEVEL.
+Closed-form observable signatures, a closed-form oracle for the stationary
+law of two consecutive observed counts, a two-sample Monte-Carlo
+equivalence test on batch-means statistics, and distributional checks for
+the individual-level trace. Every stochastic gate gives a p-value, and a
+verdict of k gates passes only when each has p >= LEVEL / k (Bonferroni),
+so a verdict on equivalent inputs fails with probability at most LEVEL.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from .processes import (
     Inar1Spec,
     PopulationTrace,
     ReportingSpec,
-    _binomial_table,
     _require_geom_block_size,
     _require_steps,
     apply_reporting,
@@ -37,23 +35,6 @@ BATCH_COUNT = 50
 MAX_LAG = 5  # autocorrelation lags equivalence_mc_test compares
 LEVEL = 0.01  # family-wise false-rejection level of each verdict
 CANONICAL_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class MomentSummary:
-    """Empirical first/second-order summary of a count series.
-
-    ``marginal_pmf[k]`` is the share of the counts equal to k, the array form
-    :func:`total_variation` compares.
-    """
-
-    mean: float
-    variance: float
-    acf: tuple[float, ...]
-    marginal_pmf: np.ndarray
-    n: int
-    se_mean: float
-    degenerate: bool = False
 
 
 def _batches(values: np.ndarray) -> np.ndarray:
@@ -76,29 +57,6 @@ def _acf(values: np.ndarray, max_lag: int) -> tuple[float, ...]:
         float(np.einsum("i,i->", centered[:-k], centered[k:])) / denom
         for k in range(1, max_lag + 1)
     )
-
-
-def empirical_moments(series: CountSeries, max_lag: int) -> MomentSummary:
-    """Sample mean, variance, autocorrelations, marginal pmf and mean SE.
-
-    Requires more than 10 * max_lag observations. A constant series is
-    flagged degenerate: its autocorrelations are undefined and left empty.
-    """
-    if max_lag < 1:
-        raise ParameterError(f"max_lag must be at least 1, got {max_lag}")
-    values = series.values.astype(np.float64)
-    n = values.size
-    if n <= 10 * max_lag:
-        raise InsufficientDataError(
-            f"series of length {n} is too short for lags up to {max_lag}"
-        )
-    pmf = np.bincount(series.values) / n
-    mean = float(values.mean())
-    variance = float(values.var(ddof=1))
-    se_mean = float(_batches(values).mean(axis=1).std(ddof=1) / math.sqrt(BATCH_COUNT))
-    if variance == 0.0:
-        return MomentSummary(mean, 0.0, (), pmf, n, se_mean, degenerate=True)
-    return MomentSummary(mean, variance, _acf(values, max_lag), pmf, n, se_mean)
 
 
 def theoretical_observed_moments(
@@ -154,9 +112,11 @@ def _poisson_quantile(mu: float, tail: float) -> int:
     return int(np.argmax(beyond <= tail))
 
 
-# Most latent states the enumeration oracle may hold. Its transition and
-# thinning tables are this many squared float64s each (32 MiB at the bound);
-# the whole oracle then peaks near 0.15 GB and takes about a second.
+# Most latent states an enumeration of the canonical form's pair law would
+# hold: the admission rule for the oracle, which keeps the classes whose
+# canonical latent mean is below about 1700. The oracle's observed cut lies
+# below that latent cut, so its table is at most this many squared float64s
+# too (32 MiB at the bound); the oracle then peaks near 0.1 GB.
 MAX_ORACLE_STATES = 2048
 
 
@@ -169,12 +129,12 @@ def _require_oracle_states(states: float) -> None:
 
 
 def _oracle_truncation(mu: float) -> int:
-    """The oracle's latent truncation for the latent mean ``mu``: 15 above the
-    point leaving 1e-13 of Poisson(mu).
+    """The latent cut of an enumeration for the latent mean ``mu``: 15 above
+    the point leaving 1e-13 of Poisson(mu).
 
-    Raises ParameterError when the oracle would hold more than
-    ``MAX_ORACLE_STATES`` states. The truncation lies above the mean, so a
-    mean at or past the bound is rejected before the O(mu) quantile search.
+    Raises ParameterError when that cut would hold more than
+    ``MAX_ORACLE_STATES`` states. The cut lies above the mean, so a mean at
+    or past the bound is rejected before the O(mu) quantile search.
     """
     _require_oracle_states(mu + 1.0)
     truncation = _poisson_quantile(mu, 1e-13) + 15
@@ -183,53 +143,39 @@ def _oracle_truncation(mu: float) -> int:
 
 
 def joint_pmf_oracle(model: UnderreportedModel) -> np.ndarray:
-    """Stationary joint pmf of two consecutive observed counts, by enumeration.
+    """Stationary joint pmf of two consecutive observed counts, in closed form.
 
     Returns a ``(support_cap + 1, support_cap + 1)`` float64 array ``joint``
     whose entry ``joint[a, b]`` is the probability of observing a and then b.
 
-    Only defined for a first-order latent process (gamma = 0). Sums the
-    stationary latent marginal against the one-step transition (thinning
-    convolved with immigration) and the two observation thinnings:
+    Thinning colours a Poisson population into independent Poisson classes,
+    so with m the observed mean and r the lag-1 autocorrelation
+    (:func:`theoretical_observed_moments`) the pair is bivariate Poisson: the
+    individuals seen at both steps, Poisson(m r), plus independent
+    Poisson(m (1 - r)) parts seen at only one of them,
 
-        P(a, b) = sum_{x1, x2} Pois(x1; mu) P(x2 | x1) Bin(a; x1, q) Bin(b; x2, q)
+        P(a, b) = sum_k Pois(a - k; m (1 - r)) Pois(k; m r) Pois(b - k; m (1 - r)).
 
-    with mu = lambda / (1 - alpha). Latent states are enumerated up to
-    ``truncation``, 15 above the point leaving 1e-13 of the latent marginal
-    (:func:`_oracle_truncation`), and observed values up to ``support_cap``,
-    10 above the point leaving 1e-12 of the observed one and at most
-    ``truncation``. Raises ParameterError if more than ``MAX_ORACLE_STATES``
-    latent states would be enumerated, and TruncationError if the retained
-    joint mass (the table's sum) is not above 1 - 1e-8, which these cut-offs
-    never leave.
+    The law depends on (m, r) alone, so every member of a class gives the
+    same table. Observed values are kept up to ``support_cap``, 10 above the
+    point leaving 1e-12 of Poisson(m). Raises ParameterError if the class's
+    canonical latent mean fails :func:`_oracle_truncation`, and
+    TruncationError if the retained joint mass (the table's sum) is not above
+    1 - 1e-8, which this cut never leaves.
     """
-    latent = model.latent
-    if latent.gamma != 0.0:
-        raise ParameterError(
-            "the enumeration oracle requires a first-order latent process (gamma = 0)"
-        )
-    lam, alpha, q = latent.lambda_, latent.beta, model.q
-    mu = lam / (1.0 - alpha)
-    truncation = _oracle_truncation(mu)
-    support_cap = min(truncation, _poisson_quantile(q * mu, 1e-12) + 10)
-
-    pi = _poisson_pmf(mu, truncation)
-    immigration = _poisson_pmf(lam, truncation)
-
-    # transition[x1, x2] = sum_k Bin(k; x1, alpha) Pois(x2 - k; lambda):
-    # survivors of the thinning plus immigrants. arrivals[k, x2] holds
-    # Pois(x2 - k; lambda), zero below the diagonal.
-    xs = np.arange(truncation + 1)
-    arrivals = np.triu(immigration[np.abs(xs[None, :] - xs[:, None])])
-    transition = _binomial_table(alpha, truncation) @ arrivals
-
-    observe = _binomial_table(q, truncation)[:, : support_cap + 1]
-
-    joint = observe.T @ (pi[:, None] * (transition @ observe))
+    c = canonicalize(model)
+    _oracle_truncation(c.lambda_star / (1.0 - c.alpha_star))
+    m, _, acf = theoretical_observed_moments(model)
+    r = acf[0]
+    support_cap = _poisson_quantile(m, 1e-12) + 10
+    # single[a, k] = Pois(a - k; m (1 - r)), zero above the diagonal.
+    xs = np.arange(support_cap + 1)
+    single = np.tril(_poisson_pmf(m * (1.0 - r), support_cap)[np.abs(xs[:, None] - xs)])
+    joint = (single * _poisson_pmf(m * r, support_cap)) @ single.T
     mass = float(joint.sum())
     if mass <= 1.0 - 1e-8:
         raise TruncationError(
-            f"the enumeration oracle retained joint mass {mass}, below 1 - 1e-8"
+            f"the pair-law oracle retained joint mass {mass}, below 1 - 1e-8"
         )
     return joint
 
@@ -378,7 +324,7 @@ def equivalence_mc_test(
     gates are batch-means scores over each model's reps * 50 batches:
     two-sample scores of the mean, variance and autocorrelations, and per
     model one-sample scores of its binned consecutive-pair frequencies
-    against the enumeration oracle of the first model's class
+    against the pair-law oracle of the first model's class
     (:func:`_pair_bins`). The verdict passes only if the canonical forms
     agree and each of the k scores has p >= LEVEL / k.
 
@@ -389,12 +335,12 @@ def equivalence_mc_test(
     if reps < 1:
         raise ParameterError(f"reps must be at least 1, got {reps}")
     # Bound the simulations' steps and working arrays, then build the oracle
-    # (which bounds its own tables), before any draw.
+    # (which applies its own admission rule), before any draw.
     _require_steps(reps * t_len, "reps times series length")
     for model in (m1, m2):
         _require_geom_block_size(model.latent)
     c1, c2 = canonicalize(m1), canonicalize(m2)
-    oracle = joint_pmf_oracle(c1.as_model())
+    oracle = joint_pmf_oracle(m1)
     labels, target = _pair_bins(oracle, t_len // BATCH_COUNT - 1)
     width = target.shape[0]
 

@@ -79,12 +79,6 @@ class CanonicalForm:
                 f"reporting probability must lie in (0, 1], got {self.q_star}"
             )
 
-    def as_model(self) -> UnderreportedModel:
-        return UnderreportedModel(
-            latent=GeomInarSpec(self.lambda_star, self.alpha_star, 0.0),
-            q=self.q_star,
-        )
-
 
 def absorb_reporting(inar1: Inar1Spec, q: float) -> GeomInarSpec:
     """Fold thinning with probability q into the lag structure.

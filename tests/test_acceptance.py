@@ -230,7 +230,7 @@ def test_criterion_5_joint_law_oracle(reseed_once):
     reseed_once(check, 501, 502)
     elapsed = time.perf_counter() - start
     ok = marginal_ok and elapsed < 300.0
-    report(5, f"bivariate law of 1e6-step simulation matches enumeration oracle ({elapsed:.1f} s)", ok)
+    report(5, f"bivariate law of 1e6-step simulation matches the pair-law oracle ({elapsed:.1f} s)", ok)
 
 
 def test_criterion_6_individual_level_reconstruction(reseed_once):

@@ -14,11 +14,13 @@ import pytest
 
 from inarq import (
     CountSeries,
+    GeomInarSpec,
     Inar1Spec,
     ReportingSpec,
     RngStream,
     UnderreportedModel,
     absorb_reporting,
+    canonicalize,
     equivalence_mc_test,
     individual_level_checks,
     simulate_individual_level,
@@ -50,6 +52,23 @@ def test_check_false_rejections(mean, reps):
     m1, m2 = worked_pair(mean)
     failed = [seed for seed in range(40_000, 40_000 + n)
               if not equivalence_mc_test(m1, m2, T_LEN, reps, RngStream(seed)).passed]
+    assert len(failed) <= allowed_rejections(n), failed
+
+
+# A slow-decay class (lag weights 0.0009 * 0.999**(i - 1), observed mean 0.5)
+# against its own canonical form, whose latent mean, 556, the oracle admits.
+# Its memory, 1 / (1 - alpha*) = 1e4 steps, outlasts the 200-step batches at
+# T = 1e4, so the batch means are far from independent and about 30% of
+# verdicts fail, mostly on pair cells. At T = 1e6 (batches of 2e4 steps) none
+# of 40 seeds failed. Remove the mark when the scores account for this.
+@pytest.mark.xfail(strict=True, reason="batches shorter than the class's memory")
+def test_check_false_rejections_slow_decay():
+    n = 40
+    slow = UnderreportedModel(GeomInarSpec(0.05, 0.0009, 0.999), 1.0)
+    c = canonicalize(slow)
+    canonical = UnderreportedModel.from_inar1(Inar1Spec(c.lambda_star, c.alpha_star), c.q_star)
+    failed = [seed for seed in range(43_000, 43_000 + n)
+              if not equivalence_mc_test(slow, canonical, T_LEN, 3, RngStream(seed)).passed]
     assert len(failed) <= allowed_rejections(n), failed
 
 

@@ -10,7 +10,6 @@ import pytest
 from scipy import stats as sps
 
 from inarq import (
-    CanonicalForm,
     GeomInarSpec,
     Inar1Spec,
     InarError,
@@ -21,8 +20,7 @@ from inarq import (
     joint_pmf_oracle,
     shift_reporting,
 )
-from inarq.diagnostics import _binomial_table
-from inarq.processes import _MAX_STEPS
+from inarq.processes import _MAX_STEPS, _binomial_table
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -461,9 +459,9 @@ class TestWorkBound:
         assert not (tmp_path / "x.csv").exists()
 
     def test_oversized_oracle_is_input_error(self, tmp_path):
-        # This spec passes the first-block bound, but the enumeration oracle of
-        # its class would hold 11909 latent states; check rejects it before
-        # simulating.
+        # This spec passes the first-block bound, but an enumeration of its
+        # class's pair law would hold 11909 latent states, past the oracle's
+        # admission bound; check rejects it before simulating.
         spec = write_spec(tmp_path, {"latent": dict(SLOW_DECAY, **{"lambda": 1.0})})
         res = subprocess.run([sys.executable, "-m", "inarq", "check", spec, spec,
                               "--t", "10000", "--reps", "1"],
@@ -655,18 +653,16 @@ def law_p_values(values, joint):
 
 def observed_pair_law(doc):
     """Exact stationary law of two consecutive observed counts of a spec, from
-    the enumeration oracle of its class's canonical form. Under omega < 1 the
-    latent pair law is that of the latent class, and each count of a pair is
-    then reported whole with probability 1 - omega, independently."""
+    the pair-law oracle of its class. Under omega < 1 the latent pair law is
+    that of the latent class, and each count of a pair is then reported whole
+    with probability 1 - omega, independently."""
     model = spec_model(doc)
     omega = doc.get("reporting", {}).get("omega", 1.0)
     if omega < 1.0:
         model = UnderreportedModel(model.latent, 1.0)
     if model.latent.beta == 0.0:  # i.i.d. Poisson with the observed mean
-        canon = CanonicalForm(model.observed_mean, 0.0, 1.0)
-    else:
-        canon = canonicalize(model)
-    joint = joint_pmf_oracle(canon.as_model())
+        model = UnderreportedModel(GeomInarSpec(model.observed_mean, 0.0, 0.0), 1.0)
+    joint = joint_pmf_oracle(model)
     if omega == 1.0:
         return joint
     q = doc["reporting"]["q"]

@@ -10,14 +10,12 @@ from inarq import (
     CountSeries,
     GeomInarSpec,
     Inar1Spec,
-    InsufficientDataError,
     ParameterError,
     ReportingSpec,
     RngStream,
     TruncationError,
     UnderreportedModel,
     absorb_reporting,
-    empirical_moments,
     equivalence_mc_test,
     individual_level_checks,
     joint_pmf_oracle,
@@ -74,26 +72,13 @@ def scipy_joint_pmf(lam, alpha, q):
 
 
 class TestEmpiricalMoments:
-    def test_constant_series_flagged_degenerate(self):
-        s = CountSeries(np.full(2_000, 3), (0, 0), 0, "const")
-        m = empirical_moments(s, max_lag=3)
-        assert m.degenerate
-        assert m.variance == 0.0
-        assert m.acf == ()
-        assert m.marginal_pmf.tolist() == [0.0, 0.0, 0.0, 1.0]
-
-    def test_too_short_rejected(self):
-        s = CountSeries(np.arange(30), (0, 0), 0, "short")
-        with pytest.raises(InsufficientDataError):
-            empirical_moments(s, max_lag=3)
-
     def test_iid_poisson_mean_z_score(self, reseed_once):
         def check(seed):
-            s = simulate_inar1(Inar1Spec(LAM, 0.0), 200_000, RngStream(seed))
-            m = empirical_moments(s, max_lag=5)
-            assert abs(m.mean - LAM) / m.se_mean <= 3
-            assert abs(m.marginal_pmf.sum() - 1.0) <= 1e-9
-            assert all(abs(r) <= 1 for r in m.acf)
+            values = simulate_inar1(Inar1Spec(LAM, 0.0), 200_000, RngStream(seed)).values
+            batch_means = _batch_rows(values, np.zeros(0, np.int64), 0)[:, 0]
+            se_mean = batch_means.std(ddof=1) / math.sqrt(BATCH_COUNT)
+            assert abs(values.mean() - LAM) / se_mean <= 3
+            assert all(abs(r) <= 1 for r in _acf(values.astype(float), MAX_LAG))
 
         reseed_once(check, 141, 142)
 
@@ -142,11 +127,11 @@ class TestTheoreticalMoments:
         def check(seed):
             mean, _, acf = theoretical_observed_moments(IMAGE_MODEL)
             s = simulate_inar_inf(IMAGE_MODEL.latent, 400_000, RngStream(seed))
-            m = empirical_moments(s, max_lag=2)
-            assert abs(m.mean - mean) / m.se_mean <= 3
-            # batch-means error for the lag-1 autocorrelation
             values = s.values.astype(float)
             batches = values[: values.size - values.size % 50].reshape(50, -1)
+            se_mean = batches.mean(axis=1).std(ddof=1) / math.sqrt(50)
+            assert abs(values.mean() - mean) / se_mean <= 3
+            # batch-means error for the lag-1 autocorrelation
             r1 = []
             for b in batches:
                 c = b - b.mean()
@@ -171,13 +156,19 @@ class TestJointPmfOracle:
         target = sps.poisson.pmf(np.arange(marginal.size), OBSERVED_MEAN)
         assert np.abs(marginal - target).max() <= 1e-8
 
-    def test_requires_first_order_latent(self):
-        with pytest.raises(ParameterError):
-            joint_pmf_oracle(IMAGE_MODEL)
+    def test_one_table_for_the_whole_class(self):
+        # The law of a pair depends on the observed mean and lag-1
+        # autocorrelation alone, so every member of the class gives one table.
+        joint = joint_pmf_oracle(EXAMPLE)
+        members = [IMAGE_MODEL] + [shift_reporting(EXAMPLE, q) for q in (0.4, 0.7, 1.0)]
+        for member in members:
+            table = joint_pmf_oracle(member)
+            assert table.shape == joint.shape
+            assert np.abs(table - joint).max() <= 1e-14
 
     def test_table_size_is_bounded_before_enumerating(self):
-        # A slow-decay class: its canonical latent mean is 11110, so the default
-        # truncation is 11908 and the tables would be 11909**2 float64s (1.1 GB).
+        # A slow-decay class: its canonical latent mean is 11110, so the latent
+        # cut is 11908 and an enumeration would hold 11909**2 float64s (1.1 GB).
         slow = canonicalize(UnderreportedModel(GeomInarSpec(1.0, 0.0009, 0.999), 1.0))
         mu = slow.lambda_star / (1.0 - slow.alpha_star)
         assert _poisson_quantile(mu, 1e-13) + 15 == 11908
@@ -195,9 +186,11 @@ class TestJointPmfOracle:
             assert truncation == _poisson_quantile(mean, 1e-13) + 15 < MAX_ORACLE_STATES
 
     def test_truncation_too_small_rejected(self, monkeypatch):
-        # Cut after latent state 2, the table keeps 0.197 of the joint mass.
-        monkeypatch.setattr(diagnostics, "_oracle_truncation", lambda mu: 2)
-        with pytest.raises(TruncationError, match=r"retained joint mass 0\.1967") as err:
+        # Cut after observed value 2, the table keeps 0.814 of the joint mass.
+        real = diagnostics._poisson_quantile
+        monkeypatch.setattr(diagnostics, "_poisson_quantile",
+                            lambda mu, tail: -8 if tail == 1e-12 else real(mu, tail))
+        with pytest.raises(TruncationError, match=r"retained joint mass 0\.8141") as err:
             joint_pmf_oracle(EXAMPLE)
         assert "support_cap" not in str(err.value)
 

@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 from inarq import Inar1Spec, ReportingSpec, RngStream, absorb_reporting, apply_reporting, simulate_inar1
-from inarq.diagnostics import _binomial_table, _poisson_pmf
+from inarq.diagnostics import _poisson_pmf
+from inarq.processes import _binomial_table
 
 # Agreement required of the two log-likelihoods, relative to their size: about
 # 1e-9 in absolute terms for these series, whose log-likelihoods are in the
@@ -31,8 +32,8 @@ def truncation(mean: float, top: int) -> int:
 
 def hidden_inar1_loglik(y: np.ndarray, lam: float, alpha: float, q: float) -> float:
     """Log-likelihood of ``y`` as X thinned by q, X_t = alpha ∘ X_{t-1} + Poisson(lam),
-    started from its stationary Poisson(lam / (1 - alpha)) law; the arrays are
-    those of the enumeration oracle."""
+    started from its stationary Poisson(lam / (1 - alpha)) law, by a forward
+    filter over the latent count."""
     mu = lam / (1.0 - alpha)
     n = truncation(mu, int(y.max()))
     xs = np.arange(n + 1)
