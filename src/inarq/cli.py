@@ -139,6 +139,39 @@ def _require_homogeneous(reporting: ReportingSpec, what: str) -> None:
         )
 
 
+# glibc's mallopt parameter numbers (malloc.h) and the values the drawing
+# commands set: the mmap threshold at glibc's own dynamic cap on 64-bit, the
+# trim threshold at twice it, glibc's own rule for the pair.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 2 * _MMAP_THRESHOLD
+
+
+@functools.cache
+def _pin_allocator() -> bool:
+    """Pin glibc's mmap and trim thresholds, once per process.
+
+    glibc maps a block above its mmap threshold (128 kB at start, then raised
+    by earlier frees) from fresh pages and returns freed heap above its trim
+    threshold, so otherwise every op of a drawing command faults its working
+    arrays (80-600 kB) in again. With both set, blocks up to 32 MiB are reused
+    from the heap and larger ones are still mapped and returned. Only the
+    drawing commands call this; the library leaves its host's allocator
+    alone. Returns whether glibc took both values; without ``mallopt``
+    (another C library) or a loadable C library it changes nothing.
+    """
+    import ctypes  # here, not at the top: the closed-form commands never need it
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return (mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD) == 1
+            and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD) == 1)
+
+
 def _draw_class(model: UnderreportedModel, args, draw: RngStream, thin: RngStream) -> CountSeries:
     """A series with the observed law of ``model``: the class member that
     :func:`simulation_route` picks, drawn on ``draw`` and thinned on ``thin``."""
@@ -149,6 +182,7 @@ def _draw_class(model: UnderreportedModel, args, draw: RngStream, thin: RngStrea
 
 
 def cmd_simulate(args) -> int:
+    _pin_allocator()
     model, reporting, _ = load_model_file(args.spec)
     stream = RngStream(args.seed)
     draw, report = stream.substream(0), stream.substream(1)
@@ -235,6 +269,7 @@ def cmd_curve(args) -> int:
 
 
 def cmd_check(args) -> int:
+    _pin_allocator()
     m1, rep1, _ = load_model_file(args.spec_1)
     m2, rep2, _ = load_model_file(args.spec_2)
     _require_homogeneous(rep1, "check")
@@ -245,6 +280,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_appendix(args) -> int:
+    _pin_allocator()
     model, reporting, kind = load_model_file(args.spec)
     if kind != "inar1":
         raise ParameterError(
