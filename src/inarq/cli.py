@@ -10,34 +10,54 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import json
 import os
 import sys
+from typing import TYPE_CHECKING
 
-from .diagnostics import _acf, equivalence_mc_test, individual_level_checks
 from .equivalence import (
     UnderreportedModel,
     canonicalize,
     equivalence_curve,
     expand_lags,
     shift_reporting,
-    simulation_route,
     write_curve_csv,
 )
 from .errors import AdmissibleRangeError, InarError, ParameterError, UnsupportedMechanismError
-from .processes import (
-    CountSeries,
-    GeomInarSpec,
-    Inar1Spec,
-    ReportingSpec,
-    apply_reporting,
-    simulate_inar1,
-    simulate_inar_inf,
-    simulate_individual_level,
-    write_series_csv,
-    write_trace_csv,
-)
-from .sampling import RngStream
+from .specs import GeomInarSpec, Inar1Spec, ReportingSpec
+
+if TYPE_CHECKING:
+    from .processes import CountSeries
+    from .sampling import RngStream
+
+# The names the drawing commands call from the numpy-backed layers, imported
+# when one of those commands first runs, so the closed-form commands load no
+# numpy. They are bound as attributes of this module and looked up at call
+# time, so whoever replaces one here (a tracer, a test) replaces what the
+# commands call.
+_DRAWING = {
+    "diagnostics": ("_acf", "equivalence_mc_test", "individual_level_checks"),
+    "processes": ("apply_reporting", "simulate_inar1", "simulate_inar_inf",
+                  "simulate_individual_level", "simulation_route", "write_series_csv",
+                  "write_trace_csv"),
+    "sampling": ("RngStream",),
+}
+
+
+def _bind_drawing() -> None:
+    """Bind the drawing layers' names here, keeping any already bound."""
+    for module, names in _DRAWING.items():
+        mod = importlib.import_module(f"{__package__}.{module}")
+        for name in names:
+            globals().setdefault(name, getattr(mod, name))
+
+
+def __getattr__(name: str):
+    if any(name in names for names in _DRAWING.values()):
+        _bind_drawing()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _f(x: float) -> float:
@@ -182,6 +202,7 @@ def _draw_class(model: UnderreportedModel, args, draw: RngStream, thin: RngStrea
 
 
 def cmd_simulate(args) -> int:
+    _bind_drawing()
     _pin_allocator()
     model, reporting, _ = load_model_file(args.spec)
     stream = RngStream(args.seed)
@@ -269,6 +290,7 @@ def cmd_curve(args) -> int:
 
 
 def cmd_check(args) -> int:
+    _bind_drawing()
     _pin_allocator()
     m1, rep1, _ = load_model_file(args.spec_1)
     m2, rep2, _ = load_model_file(args.spec_2)
@@ -280,6 +302,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_appendix(args) -> int:
+    _bind_drawing()
     _pin_allocator()
     model, reporting, kind = load_model_file(args.spec)
     if kind != "inar1":

@@ -13,23 +13,14 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import AdmissibleRangeError, DegenerateClassError, ParameterError
-from .processes import GeomInarSpec, Inar1Spec, _require_geom_block_size
+from .specs import GeomInarSpec, Inar1Spec
 
 # Rounding guard for boundary arithmetic: values this close to 0 are clamped.
 _BOUNDARY_EPS = 1e-12
 
 # Most rows expand_lags or equivalence_curve produces; a request for more is rejected.
 _MAX_ROWS = 10**6
-
-# Largest stationary mean of a class's fully observed image, its expected
-# appearances per step, that simulation_route lays out by gaps: gap layout
-# pays a draw per appearance, while the canonical form's interval counting
-# and one thinning cost about the same per step whatever the mean. Measured
-# on a grid of (beta, gamma, lambda) in BENCH_12.json.
-LAYOUT_MAX_MEAN = 8.0
 
 
 @dataclass(frozen=True)
@@ -182,47 +173,6 @@ def canonicalize(model: UnderreportedModel) -> CanonicalForm:
     return CanonicalForm(inner.lambda_star, inner.alpha_star, model.q * inner.q_star)
 
 
-def _drawable(spec: GeomInarSpec) -> bool:
-    """Whether the chain kernel admits ``spec``: its first block is within the bound."""
-    try:
-        _require_geom_block_size(spec)
-    except ParameterError:
-        return False
-    return True
-
-
-def simulation_route(model: UnderreportedModel) -> tuple[Inar1Spec | GeomInarSpec, float]:
-    """The member of ``model``'s class to simulate, and the thinning it needs.
-
-    Returns ``(spec, q)``: a series of ``spec`` thinned by ``q`` has the
-    observed law of ``model``. The two ends of the class are candidates:
-
-    - the fully observed image, :func:`shift_reporting` to q = 1, a
-      ``GeomInarSpec`` with gamma > 0 drawn by gap layout, with q = 1;
-    - the canonical form, an ``Inar1Spec`` drawn by interval counting, with
-      q = q_star: thinning twice is thinning once by the product.
-
-    The image is laid out while its stationary mean is at most
-    ``LAYOUT_MAX_MEAN`` and the canonical form is drawn above it, unless the
-    chosen end's first block exceeds the chain kernel's bound (or the
-    canonical rate overflows) and the other end's does not. An image with
-    gamma = 0 is first order already and one with beta = 0 is i.i.d.
-    Poisson; both are returned as an ``Inar1Spec`` with q = 1.
-    """
-    # A fully observed model is its own image; shifting it would round lambda.
-    lat = model.latent if model.q == 1.0 else shift_reporting(model, 1.0).latent
-    if lat.beta == 0.0 or lat.gamma == 0.0:
-        return Inar1Spec(lat.lambda_, lat.beta), 1.0
-    try:
-        canon = canonicalize(model)
-        first = GeomInarSpec(canon.lambda_star, canon.alpha_star, 0.0)
-    except ParameterError:
-        return lat, 1.0
-    if (lat.stationary_mean <= LAYOUT_MAX_MEAN and _drawable(lat)) or not _drawable(first):
-        return lat, 1.0
-    return Inar1Spec(first.lambda_, first.beta), canon.q_star
-
-
 def expand_lags(spec: GeomInarSpec, cutoff: float) -> list[tuple[int, float]]:
     """List lag weights beta * gamma**(i-1) while they stay at or above ``cutoff``.
 
@@ -275,9 +225,11 @@ def equivalence_curve(model: UnderreportedModel, grid_size: int) -> list[CurvePo
         raise DegenerateClassError(
             "the i.i.d. class has no admissible-interval lower endpoint"
         )
+    # np.linspace's arithmetic, bit for bit: start plus i steps, the last the end.
+    step = (upper - lower) / (grid_size - 1)
     points = []
-    for q_y in np.linspace(lower, upper, grid_size):
-        shifted = shift_reporting(model, float(q_y))
+    for q_y in [lower + i * step for i in range(grid_size - 1)] + [upper]:
+        shifted = shift_reporting(model, q_y)
         points.append(
             CurvePoint(
                 q_y=shifted.q,

@@ -15,115 +15,12 @@ from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
+from .equivalence import UnderreportedModel, canonicalize, shift_reporting
 from .errors import ParameterError, UnsupportedMechanismError
 from .sampling import RngStream, geometric_draws
 # Unused here, but perfbench/tracer.py wraps these scalar draws by name in this module.
 from .sampling import binomial_thin, multinomial_allocate, poisson_draw  # noqa: F401
-
-
-# Largest rate numpy's Poisson sampler accepts (its POISSON_LAM_MAX).
-_POISSON_LAM_MAX = float(np.iinfo(np.int64).max - 10 * math.sqrt(np.iinfo(np.int64).max))
-
-
-def _require_rate(lam: float) -> None:
-    if not (math.isfinite(lam) and 0 < lam <= _POISSON_LAM_MAX):
-        raise ParameterError(
-            f"immigration rate must be positive, finite and at most {_POISSON_LAM_MAX:.6g} "
-            f"(the largest Poisson rate that can be sampled), got {lam}"
-        )
-
-
-@dataclass(frozen=True)
-class Inar1Spec:
-    """First-order process: X_t = alpha ∘ X_{t-1} + Poisson(lambda) immigration."""
-
-    lambda_: float
-    alpha: float
-
-    def __post_init__(self):
-        _require_rate(self.lambda_)
-        if not 0.0 <= self.alpha < 1.0:
-            raise ParameterError(f"survival probability must lie in [0, 1), got {self.alpha}")
-
-    @property
-    def stationary_mean(self) -> float:
-        return self.lambda_ / (1.0 - self.alpha)
-
-
-@dataclass(frozen=True)
-class InarPSpec:
-    """Order-p process with one thinning weight per lag; weights must sum below 1."""
-
-    lambda_: float
-    alphas: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
-        _require_rate(self.lambda_)
-        if not all(a >= 0 and math.isfinite(a) for a in self.alphas):
-            raise ParameterError("lag weights must be finite and nonnegative")
-        if math.fsum(self.alphas) >= 1.0:
-            raise ParameterError(
-                f"lag weights must sum below 1, got {math.fsum(self.alphas)}"
-            )
-
-    @property
-    def total_weight(self) -> float:
-        return math.fsum(self.alphas)
-
-    @property
-    def stationary_mean(self) -> float:
-        return self.lambda_ / (1.0 - self.total_weight)
-
-
-@dataclass(frozen=True)
-class GeomInarSpec:
-    """Infinite-order process with geometrically decaying lag weights.
-
-    Lag i carries weight beta * gamma**(i-1). Requires 0 <= beta < 1 - gamma
-    and gamma >= 0; beta = 0 or gamma = 0 are admitted boundary cases (i.i.d.
-    Poisson and first-order degenerations).
-    """
-
-    lambda_: float
-    beta: float
-    gamma: float
-
-    def __post_init__(self):
-        _require_rate(self.lambda_)
-        if self.gamma < 0:
-            raise ParameterError(f"decay factor must be nonnegative, got {self.gamma}")
-        if not 0.0 <= self.beta < 1.0 - self.gamma:
-            raise ParameterError(
-                f"lag-1 weight must satisfy 0 <= beta < 1 - gamma, got "
-                f"beta={self.beta}, gamma={self.gamma}"
-            )
-
-    @property
-    def total_weight(self) -> float:
-        """Sum of all lag weights, beta / (1 - gamma) in closed form."""
-        return self.beta / (1.0 - self.gamma)
-
-    @property
-    def stationary_mean(self) -> float:
-        return self.lambda_ * (1.0 - self.gamma) / (1.0 - self.beta - self.gamma)
-
-
-@dataclass(frozen=True)
-class ReportingSpec:
-    """Observation mechanism: with probability omega the count is thinned by q,
-    otherwise it is reported completely."""
-
-    q: float
-    omega: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 < self.q <= 1.0:
-            raise ParameterError(f"reporting probability must lie in (0, 1], got {self.q}")
-        if not 0.0 <= self.omega <= 1.0:
-            raise ParameterError(
-                f"underreported-state probability must lie in [0, 1], got {self.omega}"
-            )
+from .specs import GeomInarSpec, Inar1Spec, InarPSpec, ReportingSpec
 
 
 @dataclass(frozen=True)
@@ -547,6 +444,55 @@ def _geom_chain_law(spec: GeomInarSpec) -> tuple[float, float]:
 def _require_geom_block_size(spec: GeomInarSpec) -> None:
     """The first-block bound :func:`simulate_inar_inf` applies to ``spec``."""
     _require_block_size(spec.lambda_, *_geom_chain_law(spec), spec.gamma == 0.0)
+
+
+# Largest stationary mean of a class's fully observed image, its expected
+# appearances per step, that simulation_route lays out by gaps: gap layout
+# pays a draw per appearance, while the canonical form's interval counting
+# and one thinning cost about the same per step whatever the mean. Measured
+# on a grid of (beta, gamma, lambda) in BENCH_12.json.
+LAYOUT_MAX_MEAN = 8.0
+
+
+def _drawable(spec: GeomInarSpec) -> bool:
+    """Whether the chain kernel admits ``spec``: its first block is within the bound."""
+    try:
+        _require_geom_block_size(spec)
+    except ParameterError:
+        return False
+    return True
+
+
+def simulation_route(model: UnderreportedModel) -> tuple[Inar1Spec | GeomInarSpec, float]:
+    """The member of ``model``'s class to simulate, and the thinning it needs.
+
+    Returns ``(spec, q)``: a series of ``spec`` thinned by ``q`` has the
+    observed law of ``model``. The two ends of the class are candidates:
+
+    - the fully observed image, :func:`shift_reporting` to q = 1, a
+      ``GeomInarSpec`` with gamma > 0 drawn by gap layout, with q = 1;
+    - the canonical form, an ``Inar1Spec`` drawn by interval counting, with
+      q = q_star: thinning twice is thinning once by the product.
+
+    The image is laid out while its stationary mean is at most
+    ``LAYOUT_MAX_MEAN`` and the canonical form is drawn above it, unless the
+    chosen end's first block exceeds the chain kernel's bound (or the
+    canonical rate overflows) and the other end's does not. An image with
+    gamma = 0 is first order already and one with beta = 0 is i.i.d.
+    Poisson; both are returned as an ``Inar1Spec`` with q = 1.
+    """
+    # A fully observed model is its own image; shifting it would round lambda.
+    lat = model.latent if model.q == 1.0 else shift_reporting(model, 1.0).latent
+    if lat.beta == 0.0 or lat.gamma == 0.0:
+        return Inar1Spec(lat.lambda_, lat.beta), 1.0
+    try:
+        canon = canonicalize(model)
+        first = GeomInarSpec(canon.lambda_star, canon.alpha_star, 0.0)
+    except ParameterError:
+        return lat, 1.0
+    if (lat.stationary_mean <= LAYOUT_MAX_MEAN and _drawable(lat)) or not _drawable(first):
+        return lat, 1.0
+    return Inar1Spec(first.lambda_, first.beta), canon.q_star
 
 
 def simulate_inar_inf(

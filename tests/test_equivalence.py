@@ -1,5 +1,7 @@
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,8 +25,7 @@ from inarq import (
     simulate_inar1,
     split_reporting,
 )
-from inarq.equivalence import LAYOUT_MAX_MEAN, simulation_route
-from inarq.processes import _require_geom_block_size
+from inarq.processes import LAYOUT_MAX_MEAN, _require_geom_block_size, simulation_route
 
 LAM, ALPHA, Q = 1.62, 0.52, 0.33
 EXAMPLE = UnderreportedModel.from_inar1(Inar1Spec(LAM, ALPHA), Q)
@@ -271,6 +272,20 @@ class TestEquivalenceCurve:
         assert close(last.lambda_y, image.lambda_, scale=image.lambda_)
         assert close(last.beta_y, image.beta)
         assert close(last.gamma_y, image.gamma)
+
+    def test_grid_is_linspace_bit_for_bit(self):
+        rng = random.Random(20)
+        cases = [(EXAMPLE, 10**6)]
+        for _ in range(60):
+            gamma = rng.uniform(0.0, 0.95)
+            beta = rng.uniform(1e-6, 1.0 - gamma) * 0.999
+            model = UnderreportedModel(GeomInarSpec(rng.uniform(0.1, 50.0), beta, gamma),
+                                       rng.uniform(1e-3, 1.0))
+            cases.append((model, rng.randint(2, 5000)))
+        for model, n in cases:
+            lower, upper = admissible_reporting_interval(model)
+            grid = [p.q_y for p in equivalence_curve(model, n)]
+            assert grid == np.linspace(lower, upper, n).tolist(), (model, n)
 
     def test_every_point_canonicalizes_identically(self):
         for p in equivalence_curve(EXAMPLE, 68):

@@ -22,7 +22,7 @@ from inarq import (
     simulate_inar_p,
     simulate_individual_level,
 )
-from inarq import processes
+from inarq import processes, specs
 from inarq.processes import (
     _BLOCK_APPEARANCES,
     _CSV_CHUNK_ROWS,
@@ -166,6 +166,16 @@ def assert_same_csv(actual, expected):
                  min(len(got), len(want)))
         pytest.fail(f"line {k}: {got[k : k + 1]} != {want[k : k + 1]} "
                     f"({len(got)} vs {len(want)} lines)")
+
+
+def test_rate_bound_is_numpys():
+    # specs computes numpy's POISSON_LAM_MAX without numpy; it must be the same double.
+    assert specs._POISSON_LAM_MAX == float(INT64_MAX - 10 * math.sqrt(INT64_MAX))
+    assert specs._POISSON_LAM_MAX == float(
+        np.iinfo(np.int64).max - 10 * math.sqrt(np.iinfo(np.int64).max))
+    np.random.default_rng(1).poisson(specs._POISSON_LAM_MAX)
+    with pytest.raises(ValueError):
+        np.random.default_rng(1).poisson(np.nextafter(specs._POISSON_LAM_MAX, np.inf))
 
 
 class TestBlockBound:
