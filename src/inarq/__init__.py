@@ -21,9 +21,8 @@ _EXPORTS = {
                     "admissible_reporting_interval", "canonicalize", "curve_to_csv",
                     "equivalence_curve", "expand_lags", "shift_reporting", "split_reporting",
                     "write_curve_csv"),
-    "errors": ("AdmissibleRangeError", "DegenerateClassError", "InarError",
-               "InsufficientDataError", "ParameterError", "TruncationError",
-               "UnsupportedMechanismError"),
+    "errors": ("AdmissibleRangeError", "DegenerateClassError", "InarError", "ParameterError",
+               "TruncationError", "UnsupportedMechanismError"),
     "processes": ("CountSeries", "PopulationTrace", "apply_reporting", "simulate_inar1",
                   "simulate_inar_inf", "simulate_inar_p", "simulate_individual_level",
                   "write_series_csv", "write_trace_csv"),

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .equivalence import UnderreportedModel, absorb_reporting, canonicalize
-from .errors import InsufficientDataError, ParameterError, TruncationError
+from .errors import ParameterError, TruncationError
 from .processes import (
     CountSeries,
     Inar1Spec,
@@ -38,13 +38,10 @@ CANONICAL_TOL = 1e-12
 
 
 def _batches(values: np.ndarray) -> np.ndarray:
-    """``values`` cut into BATCH_COUNT equal consecutive rows; the remainder is dropped."""
-    usable = values.size - values.size % BATCH_COUNT
-    if usable < BATCH_COUNT:
-        raise InsufficientDataError(
-            f"need at least {BATCH_COUNT} points for batch means, got {values.size}"
-        )
-    return values[:usable].reshape(BATCH_COUNT, -1)
+    """``values`` cut into BATCH_COUNT equal consecutive rows; the remainder is
+    dropped. :func:`equivalence_mc_test` admits at least 10000 values, so each
+    row holds at least 200."""
+    return values[: values.size - values.size % BATCH_COUNT].reshape(BATCH_COUNT, -1)
 
 
 def _acf(values: np.ndarray, max_lag: int) -> tuple[float, ...]:
@@ -112,24 +109,24 @@ def _poisson_quantile(mu: float, tail: float) -> int:
     return int(np.argmax(beyond <= tail))
 
 
-# Most latent states an enumeration of the canonical form's pair law would
-# hold: the admission rule for the oracle, which keeps the classes whose
-# canonical latent mean is below about 1700. The oracle's observed cut lies
-# below that latent cut, so its table is at most this many squared float64s
-# too (32 MiB at the bound); the oracle then peaks near 0.1 GB.
+# The oracle's admission rule: the latent cut of the class's canonical form, 15
+# above the point leaving 1e-13 of Poisson(canonical latent mean), holds at most
+# this many states, which admits canonical latent means below about 1700. The
+# observed cut lies below the latent one, so the oracle's table is at most this
+# many squared float64s too (32 MiB at the bound).
 MAX_ORACLE_STATES = 2048
 
 
 def _require_oracle_states(states: float) -> None:
     if states > MAX_ORACLE_STATES:
         raise ParameterError(
-            f"the enumeration oracle would hold about {states:.6g} latent states, more than "
-            f"the bound {MAX_ORACLE_STATES}; lower the latent mean"
+            f"the canonical latent mean puts the pair-law oracle's latent cut at about "
+            f"{states:.6g} states, more than the bound {MAX_ORACLE_STATES}; lower the latent mean"
         )
 
 
 def _oracle_truncation(mu: float) -> int:
-    """The latent cut of an enumeration for the latent mean ``mu``: 15 above
+    """The oracle's latent cut for the canonical latent mean ``mu``: 15 above
     the point leaving 1e-13 of Poisson(mu).
 
     Raises ParameterError when that cut would hold more than

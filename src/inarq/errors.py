@@ -30,9 +30,5 @@ class AdmissibleRangeError(InarError, ValueError):
         )
 
 
-class InsufficientDataError(InarError, ValueError):
-    """A series is too short for the requested statistic."""
-
-
 class TruncationError(InarError, ValueError):
     """A truncation leaves too much probability mass unaccounted for."""

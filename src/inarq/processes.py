@@ -156,8 +156,6 @@ _CLASS_CHAINS = 10.0
 # may draw over all its replicates: 33 times a 2e6-step series, and a count
 # array of 0.5 GB.
 _MAX_STEPS = 1 << 26
-# No chains under way at step 0: (arrival steps, lengths, step-0 class counts).
-_NO_CHAINS = (np.zeros(0, dtype=np.int64),) * 3
 
 
 def _unit_gaps(k: int) -> np.ndarray:
@@ -187,29 +185,35 @@ def _dense_classes(lam: float, rho: float) -> int:
     return _classes(lam, rho, _DENSE_CLASS_CHAINS)
 
 
-def _class_lengths(mean: float, rho: float, skip: int, rng: RngStream) -> np.ndarray:
-    """Lengths of Poisson(``mean``) chains with Geom(1 - rho) lengths, less
-    those of the first ``skip`` classes.
+def _class_counts(mean: float, rho: float, skip: int, top: int,
+                  rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
+    """Poisson(``mean``) chains with Geom(1 - rho) lengths, less those of the
+    first ``skip`` classes: the counts of classes skip + 1 .. top and the
+    lengths of the chains past them.
 
     The chains of length k, class k, are Poisson(mean * (1 - rho) *
-    rho**(k - 1)) and independent of the other classes. Each class past
-    ``skip`` that expects at least ``_CLASS_CHAINS`` chains gets one Poisson
-    count and its lengths from one ``np.repeat``; so there are at most a
-    tenth as many explicit classes as expected chains, whatever rho. The
-    chains past the last of them, ``top``, are Poisson(mean * rho**top), of
-    lengths top + Geom(1 - rho), one geometric draw each. Lengths come
-    sorted by class.
+    rho**(k - 1)) and independent of the other classes. ``top`` is raised to
+    the last class that expects at least ``_CLASS_CHAINS`` chains, so past
+    the ``top`` asked for there are at most a tenth as many counted classes
+    as expected chains, whatever rho; one Poisson call draws every count.
+    The chains past ``top`` are Poisson(mean * rho**top), of lengths top +
+    Geom(1 - rho), one geometric draw each.
     """
     g = rng.generator
-    top = max(skip, _classes(mean, rho, _CLASS_CHAINS))
+    top = max(top, _classes(mean, rho, _CLASS_CHAINS))
     k = np.arange(skip + 1, top + 1)
     counts = g.poisson(mean * (1.0 - rho) * rho ** (k - 1.0)) if k.size else k
-    tail = geometric_draws(1.0 - rho, g.poisson(mean * rho**top), rng)
-    return np.concatenate((np.repeat(k, counts), tail + top))
+    return counts, geometric_draws(1.0 - rho, g.poisson(mean * rho**top), rng) + top
 
 
-def _chain_blocks(lam: float, rho: float, steps: int, rng: RngStream, under_way=_NO_CHAINS,
-                  dense: bool = False):
+def _class_lengths(mean: float, rho: float, skip: int, rng: RngStream) -> np.ndarray:
+    """The lengths of the chains :func:`_class_counts` draws past ``skip``, by class."""
+    counts, tail = _class_counts(mean, rho, skip, skip, rng)
+    return np.concatenate((np.repeat(np.arange(skip + 1, skip + 1 + counts.size), counts), tail))
+
+
+def _chain_blocks(lam: float, rho: float, steps: int, rng: RngStream, reach: float = 0.0,
+                  residual_draw=_unit_gaps, dense: bool = False):
     """Draw immigrant chains over ``steps`` steps, one block at a time.
 
     Each step Poisson(lam) immigrants arrive, each starting a chain of
@@ -217,10 +221,7 @@ def _chain_blocks(lam: float, rho: float, steps: int, rng: RngStream, under_way=
     length are a Poisson process on the steps, independent across lengths,
     so a block of ``width`` steps draws Poisson(lam * width) chains by
     length class (:func:`_class_lengths`) and puts each on a uniform step of
-    the block: the per-step counts are iid Poisson(lam). The chains under
-    way at step 0, ``under_way`` = (arrival steps, lengths, counts), join the
-    first block; ``counts[k - 1]`` more chains of length k arrive at step 0,
-    for the dense classes k below.
+    the block: the per-step counts are iid Poisson(lam).
 
     With ``dense`` (for the unit-gap path of :func:`_count_chains`), every class k
     that expects at least ``_DENSE_CLASS_CHAINS`` chains per step is drawn
@@ -229,6 +230,14 @@ def _chain_blocks(lam: float, rho: float, steps: int, rng: RngStream, under_way=
     :func:`_poisson_counts`; they never exist as arrays. Blocks are sized
     to about ``_BLOCK_APPEARANCES`` entries laid out: appearances, or with
     ``dense`` chains and counts.
+
+    With ``reach`` > 0 the chains under way at step 0, a Poisson colouring of
+    past immigrants, join the first block: Poisson(lam * reach / (1 - rho)),
+    ``reach`` = rho * E[G] for a gap G, drawn by :func:`_class_counts`, each
+    next appearing at step R - 1, P(R = r) = P(G >= r) / E[G], drawn by
+    ``residual_draw(k)``. With ``dense`` all are present from step 0, so
+    their counted classes (the dense ones at least) come first as a block of
+    width 1, and only the chains past those are laid out.
 
     Yields, per block, its first step, the sparse chains' arrival steps and
     lengths (in class order, not step order) and ``hist`` (no rows without
@@ -240,16 +249,24 @@ def _chain_blocks(lam: float, rho: float, steps: int, rng: RngStream, under_way=
     per_step = skip + lam * rho**skip if dense else lam / (1.0 - rho)
     block = int(min(steps, max(1.0, _BLOCK_APPEARANCES / per_step)))
     rates = lam * (1.0 - rho) * rho ** np.arange(skip, dtype=np.float64)
+    lengths = np.zeros(0, dtype=np.int64)
+    if reach:
+        mean = lam / (1.0 - rho) * reach
+        if dense:
+            counts, lengths = _class_counts(mean, rho, 0, skip, rng)
+            if counts.size:
+                yield 0, lengths[:0], lengths[:0], counts[:, None]
+        else:
+            lengths = _class_lengths(mean, rho, 0, rng)
+    under_way = (residual_draw(lengths.size) - 1, lengths)
     for t0 in range(0, steps, block):
         width = min(block, steps - t0)
         lengths = _class_lengths(lam * width, rho, skip, rng)
         arrivals = g.integers(t0, t0 + width, lengths.size)
-        hist = _poisson_counts(rates, width, g)
         if t0 == 0:
             arrivals = np.concatenate((under_way[0], arrivals))
             lengths = np.concatenate((under_way[1], lengths))
-            hist[: under_way[2].size, 0] += under_way[2]
-        yield t0, arrivals, lengths, hist
+        yield t0, arrivals, lengths, _poisson_counts(rates, width, g)
 
 
 def _later_appearances(arrivals: np.ndarray, lengths: np.ndarray, gap_draw) -> np.ndarray:
@@ -301,7 +318,8 @@ def _require_block_size(lam: float, rho: float, reach: float, as_intervals: bool
     Without ``as_intervals`` each chain makes 1 / (1 - rho) appearances on
     average, and all of them are laid out. With it (the unit-gap path of
     :func:`_count_chains`) only the chains are, and only those past the
-    first ``_dense_classes`` length classes, a share rho**skip of them; the
+    first ``_dense_classes`` length classes, a share rho**skip of them (more
+    than the start lays out, so conservative); the
     path also sums per-step counts as doubles, exact below 2**53, so it
     rejects a spec whose stationary mean lam / (1 - rho) passes that. A
     later block lays out about max(per-step entries, _BLOCK_APPEARANCES)
@@ -367,16 +385,8 @@ def _count_chains(blocks, gap_draw, steps: int) -> tuple[np.ndarray, dict[str, i
 
 
 def _chain_series(lam, rho, reach, gap_draw, residual_draw, t_len, burn_in, rng, model_tag):
-    """Run the chain kernel from its stationary state; keep the last ``t_len`` steps.
-
-    The chains under way at step 0 are a Poisson colouring of past immigrants:
-    Poisson(lam * reach / (1 - rho)) of them, ``reach`` = rho * E[G] for a gap
-    G, with Geom(1 - rho) lengths drawn by class as a block's are. Each next
-    appears at step R - 1, P(R = r) = P(G >= r) / E[G], drawn by
-    ``residual_draw(k)``, and then makes its appearances. On the unit-gap
-    path every one is present from step 0, so the dense classes there are
-    drawn as counts at step 0 and never laid out.
-    """
+    """Run the chain kernel from the stationary start :func:`_chain_blocks`
+    draws for ``reach``; keep the last ``t_len`` steps."""
     if t_len < 1:
         raise ParameterError(f"series length must be at least 1, got {t_len}")
     if burn_in < 0:
@@ -384,13 +394,9 @@ def _chain_series(lam, rho, reach, gap_draw, residual_draw, t_len, burn_in, rng,
     _require_steps(t_len + burn_in, "series length plus burn-in")
     unit = gap_draw is _unit_gaps
     _require_block_size(lam, rho, reach, unit)
-    mean = lam / (1.0 - rho) * reach
-    skip = _dense_classes(lam, rho) if unit else 0
-    counts = rng.generator.poisson(mean * (1.0 - rho) * rho ** np.arange(skip, dtype=np.float64))
-    lengths = _class_lengths(mean, rho, skip, rng)
-    under_way = (residual_draw(lengths.size) - 1, lengths, counts)
     steps = burn_in + t_len
-    out, _ = _count_chains(_chain_blocks(lam, rho, steps, rng, under_way, unit), gap_draw, steps)
+    blocks = _chain_blocks(lam, rho, steps, rng, reach, residual_draw, unit)
+    out, _ = _count_chains(blocks, gap_draw, steps)
     return CountSeries(out[burn_in:], rng.identity, burn_in, model_tag)
 
 
@@ -526,6 +532,11 @@ _TABLE_TOP = 32
 _STRADDLE = 255
 # Poisson mass a row of the class-count table may drop past its last draw.
 _POISSON_TAIL = 2.0**-53
+# Highest class rate _poisson_counts draws from the byte table: its cost per
+# draw grows with the widest row, numpy's Poisson sampler's does not. Per 1e5
+# draws of one rate the table took 4.2 / 5.4 / 6.2 ms at 16 / 24 / 32 against
+# numpy's 6.8 / 6.5 / 7.1 ms (2-vCPU host).
+_POISSON_TABLE_RATE = 16.0
 
 
 def _binomial_table(p: float, n: int) -> np.ndarray:
@@ -587,33 +598,29 @@ def _inversion_table(q: float) -> tuple[np.ndarray, np.ndarray]:
     return _byte_table(_binomial_table(q, _TABLE_TOP), np.arange(_TABLE_TOP + 1))
 
 
-def _poisson_row(rate: float) -> np.ndarray | None:
+def _poisson_row(rate: float) -> np.ndarray:
     """The Poisson(``rate``) pmf on 0..c, c the least count with P(X > c)
-    below ``_POISSON_TAIL``; None when c would pass ``_STRADDLE - 1``, the
-    largest draw a table cell holds (a rate above about 145).
+    below ``_POISSON_TAIL``: 60 cells at ``_POISSON_TABLE_RATE``.
 
     The pmf is exp(-rate) times a running product of rate / k, so past one
     exp it takes ``*`` and ``/`` only, like the binomial table's ``+`` and
     ``*``; the oracle's log-factorial pmf (``diagnostics._poisson_pmf``)
     serves rates whose exp(-rate) underflows, which no row here has. The
-    tail is summed from the top of a support twice as long as a row may be.
+    tail is summed from the top of a support far past any row's cut.
     """
-    if rate >= _STRADDLE:
-        return None
     ratios = np.concatenate(([1.0], rate / np.arange(1, 2 * _STRADDLE)))
     pmf = math.exp(-rate) * np.cumprod(ratios)
     beyond = np.cumsum(pmf[:0:-1])[::-1]  # P(c < X < 2 * _STRADDLE) for c = 0, 1, ...
-    cut = int(np.argmax(beyond < _POISSON_TAIL))
-    return pmf[: cut + 1] if cut < _STRADDLE else None
+    return pmf[: int(np.argmax(beyond < _POISSON_TAIL)) + 1]
 
 
 @lru_cache(maxsize=4)
 def _poisson_table(rates: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The :func:`_byte_table` of the Poisson rows of ``rates`` that fit one,
-    by :func:`_poisson_row`, in order, and the read-only mask of those rates."""
-    rows = [_poisson_row(rate) for rate in rates]
-    fits = np.array([row is not None for row in rows], dtype=bool)
-    rows = [row for row in rows if row is not None]
+    """The :func:`_byte_table` of the Poisson rows (:func:`_poisson_row`) of
+    the ``rates`` up to ``_POISSON_TABLE_RATE``, in order, and the read-only
+    mask of those rates."""
+    fits = np.array(rates, dtype=np.float64) <= _POISSON_TABLE_RATE
+    rows = [_poisson_row(rate) for rate, fit in zip(rates, fits) if fit]
     pmf = np.zeros((len(rows), max((row.size for row in rows), default=1)))
     for r, row in enumerate(rows):
         pmf[r, : row.size] = row
@@ -625,10 +632,10 @@ def _poisson_table(rates: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray, np
 def _poisson_counts(rates: np.ndarray, width: int, g: np.random.Generator) -> np.ndarray:
     """counts[k, s] ~ Poisson(``rates[k]``), independent, for s below ``width``.
 
-    A rate whose row fits the cached :func:`_poisson_table` is drawn from one
-    random byte per count (:func:`_invert_bytes`); a higher one by numpy's
-    Poisson sampler. The dropped tail of a row, below 2**-53 per draw,
-    is below what a double uniform resolves.
+    A rate up to ``_POISSON_TABLE_RATE`` is drawn from one random byte per
+    count (:func:`_invert_bytes`) on the cached :func:`_poisson_table`; a
+    higher one by numpy's Poisson sampler. The dropped tail of a row, below
+    2**-53 per draw, is below what a double uniform resolves.
     """
     table, cdf, fits = _poisson_table(tuple(rates.tolist()))
     counts = np.empty((rates.size, width), dtype=np.int64)

@@ -459,8 +459,8 @@ class TestWorkBound:
         assert not (tmp_path / "x.csv").exists()
 
     def test_oversized_oracle_is_input_error(self, tmp_path):
-        # This spec passes the first-block bound, but an enumeration of its
-        # class's pair law would hold 11909 latent states, past the oracle's
+        # This spec passes the first-block bound, but its class's canonical
+        # latent mean puts the oracle's latent cut at 11909 states, past the
         # admission bound; check rejects it before simulating.
         spec = write_spec(tmp_path, {"latent": dict(SLOW_DECAY, **{"lambda": 1.0})})
         res = subprocess.run([sys.executable, "-m", "inarq", "check", spec, spec,

@@ -168,7 +168,7 @@ class TestJointPmfOracle:
 
     def test_table_size_is_bounded_before_enumerating(self):
         # A slow-decay class: its canonical latent mean is 11110, so the latent
-        # cut is 11908 and an enumeration would hold 11909**2 float64s (1.1 GB).
+        # cut is 11908, far past the admission bound of 2048 states.
         slow = canonicalize(UnderreportedModel(GeomInarSpec(1.0, 0.0009, 0.999), 1.0))
         mu = slow.lambda_star / (1.0 - slow.alpha_star)
         assert _poisson_quantile(mu, 1e-13) + 15 == 11908

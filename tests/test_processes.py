@@ -1,5 +1,7 @@
 import collections
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -35,6 +37,7 @@ from inarq.processes import (
     _MAX_BLOCK_APPEARANCES,
     _MAX_EXACT_MEAN,
     _MAX_STEPS,
+    _POISSON_TABLE_RATE,
     _POISSON_TAIL,
     _poisson_counts,
     _poisson_row,
@@ -219,6 +222,31 @@ class TestBlockBound:
             _require_block_size(at_bound * 1.001, rho, rho, True)
         assert _MAX_EXACT_MEAN == 2**53
 
+    def test_short_series_near_the_bound_stays_small(self):
+        # lambda = 1e6, alpha = 0.9995: about 2e9 chains under way at step 0,
+        # 1.2e7 of them past the dense classes, which the bound counts as laid
+        # out. The start draws them as one count per class up to class 23025
+        # and lays out only the ~2e4 chains past it, so a 20-step series peaks
+        # far below the bound's 0.7 GB. A child started by this (large) process
+        # inherits its peak RSS at exec, so the child forks a fresh process to
+        # run the series and reads that one's peak; ru_maxrss is in bytes on
+        # macOS and KiB elsewhere.
+        _require_block_size(1e6, 0.9995, 0.9995, True)
+        code = (
+            "import os, sys\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    from inarq import Inar1Spec, RngStream, simulate_inar1\n"
+            "    simulate_inar1(Inar1Spec(1e6, 0.9995), 20, RngStream(1))\n"
+            "    os._exit(0)\n"
+            "_, status, usage = os.wait4(pid, 0)\n"
+            "assert status == 0, status\n"
+            "print(usage.ru_maxrss if sys.platform == 'darwin' else usage.ru_maxrss * 1024)\n"
+        )
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr[-500:]
+        assert int(res.stdout) < 100 * 2**20, int(res.stdout) / 2**20
+
     @pytest.mark.parametrize("simulate, t_len, burn_in", [
         (lambda t, b: simulate_inar1(Inar1Spec(LAM, ALPHA), t, RngStream(1), burn_in=b), 10**11, 0),
         (lambda t, b: simulate_inar_inf(IMAGE, t, RngStream(1), burn_in=b), 10, 10**11),
@@ -234,6 +262,7 @@ class TestBlockBound:
 
         monkeypatch.setattr(processes, "_chain_blocks", no_simulation)
         monkeypatch.setattr(processes, "_class_lengths", no_simulation)
+        monkeypatch.setattr(processes, "_class_counts", no_simulation)
         with pytest.raises(ParameterError, match=f"more than the bound {_MAX_STEPS}"):
             simulate(t_len, burn_in)
 
@@ -509,18 +538,16 @@ class TestChainKernel:
         (20.0, 0.5, 50_000),  # many blocks
         (LAM, 0.95, 400),  # chains of 20 steps on average, many past the horizon
         (2e3, 0.9, 300),  # 40 classes drawn as per-step counts
-    ], ids=["one_step", "many_blocks", "past_horizon", "dense_classes"])
+        (1e3, 0.99, 300),  # a start counted up to class 458, past the 120 dense classes
+    ], ids=["one_step", "many_blocks", "past_horizon", "dense_classes", "start_past_skip"])
     def test_unit_gap_counting_matches_layout(self, lam, rho, steps):
-        # Chains under way at step 0, as the stationary start puts them: the
-        # dense classes as counts at step 0, the others as chains.
-        rng, skip = RngStream(7), _dense_classes(lam, rho)
-        counts = rng.generator.poisson(lam * rho ** np.arange(1, skip + 1))
-        # and one chain certain to run past the horizon
-        lengths = np.append(_class_lengths(lam * rho / (1 - rho), rho, skip, rng), steps + 1)
-        under_way = (np.zeros(lengths.size, np.int64), lengths, counts)
+        # Chains under way at step 0, as the stationary start puts them: its
+        # counted classes as counts at step 0, the others as chains, and one
+        # chain certain to run past the horizon.
+        blocks = list(_chain_blocks(lam, rho, steps, RngStream(3), rho, dense=True))
+        blocks.append((0, np.zeros(1, np.int64), np.array([steps + 1]), np.zeros((0, 1), np.int64)))
         # The same chains for both counters: the unit-gap path's per-step class
         # counts, laid out as chains for the other.
-        blocks = list(_chain_blocks(lam, rho, steps, RngStream(3), under_way, dense=True))
         runs = [_count_chains(blocks, _unit_gaps, steps),
                 _count_chains(as_chains(blocks), unit_gaps_by_draw, steps)]
         (counted, counted_stats), (laid_out, laid_out_stats) = runs
@@ -535,25 +562,43 @@ class TestChainKernel:
     ], ids=["many_steps_per_block", "one_step_per_block",
             "many_steps_per_block_class_counts", "one_step_per_block_class_counts"])
     def test_each_block_draws_its_arrivals_inside_it(self, lam, steps, dense):
-        # Arrivals may lie past the first block; two step-0 counts of the
-        # dense classes when there are any.
-        counts = np.array([4, 1][: _dense_classes(lam, 0.5) if dense else 0], dtype=np.int64)
-        under_way = (np.array([0, 3, 8]), np.array([2, 1, 5]), counts)
-        blocks = list(_chain_blocks(lam, 0.5, steps, RngStream(9), under_way, dense))
+        # The chains under way at step 0 join the first block; they next
+        # appear at steps 0..8, so some lie past a one-step block.
+        under_way = []
+
+        def residual_draw(k):
+            under_way.append(np.arange(k, dtype=np.int64) % 9)
+            return under_way[-1] + 1
+
+        blocks = list(_chain_blocks(lam, 0.5, steps, RngStream(9), 0.5, residual_draw, dense))
+        [start] = under_way
+        if dense:
+            # the start's counted classes, the dense ones at least, come first
+            # as a block of width 1 at step 0; only the chains past them are laid out
+            t0, arrivals, lengths, counts = blocks.pop(0)
+            assert t0 == 0 and arrivals.size == lengths.size == 0
+            assert counts.shape[1] == 1 and len(counts) >= _dense_classes(lam, 0.5) > 0
+            assert (counts >= 0).all()
+            assert (blocks[0][2][: start.size] > len(counts)).all()
         starts = [t0 for t0, _, _, _ in blocks]
         width = starts[1] if len(starts) > 1 else steps  # a dense spec's blocks are wide
         assert starts == list(range(0, steps, width)) and starts[-1] < steps
         for (t0, arrivals, lengths, hist), end in zip(blocks, starts[1:] + [steps]):
-            own = arrivals[3:] if t0 == 0 else arrivals
+            own = arrivals[start.size :] if t0 == 0 else arrivals
             assert (t0 <= own).all() and (own < end).all()
             assert arrivals.shape == lengths.shape and (lengths >= 1).all()
             # per-step counts of the dense classes, one column per step of the block
             assert hist.shape == (_dense_classes(lam, 0.5) if dense else 0, end - t0)
             assert (hist >= 0).all()
-        assert np.array_equal(blocks[0][1][:3], under_way[0])
-        assert np.array_equal(blocks[0][2][:3], under_way[1])
-        if dense:
-            assert (blocks[0][3][: counts.size, 0] >= counts).all()
+        assert start.size > 0 and np.array_equal(blocks[0][1][: start.size], start)
+
+    def test_no_reach_draws_no_start(self):
+        # The individual-level simulator starts empty: without a reach the
+        # stream's first draws are the first block's chains.
+        t0, arrivals, lengths, _ = next(_chain_blocks(LAM, ALPHA, 100, RngStream(8)))
+        rng = RngStream(8)
+        assert t0 == 0 and np.array_equal(lengths, _class_lengths(LAM * 100, ALPHA, 0, rng))
+        assert np.array_equal(arrivals, rng.generator.integers(0, 100, lengths.size))
 
     @pytest.mark.parametrize("t_len, burn_in", [(1, 0), (1, 9), (3_000, 500)])
     def test_first_order_series_count_chains_as_intervals(self, monkeypatch, t_len, burn_in):
@@ -933,14 +978,15 @@ class TestThinTable:
 # The dense benchmark spec's canonical form, inar1(28, 0.7), draws its first
 # three length classes as per-step counts at these rates.
 DENSE_CLASS_RATES = (8.4, 5.88, 4.116)
-# A rate whose Poisson row just fits a byte table: from about 145.1 on, the
-# row would pass the largest draw a table cell holds.
-TOP_TABLE_RATE = 145.0
+# The highest rate the byte table draws; numpy's Poisson sampler draws the
+# rates above it, such as NUMPY_RATE, whose row would still fit a byte.
+TOP_TABLE_RATE = _POISSON_TABLE_RATE
+NUMPY_RATE = 145.0
 
 
 class TestPoissonTable:
-    """Per-step class counts of a rate up to about 145 are drawn from one
-    random byte each and a Poisson table cached per set of rates."""
+    """Per-step class counts of a rate up to 16 are drawn from one random
+    byte each and a Poisson table cached per set of rates."""
 
     @pytest.mark.parametrize("rate", [*DENSE_CLASS_RATES, 3.0, TOP_TABLE_RATE])
     def test_row_drops_a_tail_below_2_to_the_minus_53(self, rate):
@@ -948,15 +994,21 @@ class TestPoissonTable:
         assert sps.poisson.sf(cut, rate) < _POISSON_TAIL == 2.0**-53
         assert sps.poisson.sf(cut - 1, rate) >= _POISSON_TAIL  # the least such cut
 
-    def test_rows_past_the_top_cell_are_left_out(self):
-        assert _poisson_row(TOP_TABLE_RATE).size >= 250
-        assert _poisson_row(146.0) is None and _poisson_row(1e6) is None
+    def test_rows_past_the_top_rate_are_left_out(self):
+        assert TOP_TABLE_RATE == 16.0
+        past = float(np.nextafter(TOP_TABLE_RATE, np.inf))
+        table, cdf, fits = _poisson_table((3.0, past, TOP_TABLE_RATE, NUMPY_RATE, 1e6))
+        assert fits.tolist() == [True, False, True, False, False]
+        # two rows, as wide as the top rate's: 60 cells
+        assert cdf.shape == (2, _poisson_row(TOP_TABLE_RATE).size) and cdf.shape[1] == 60
+        assert table.size == 2 * 256
 
     @pytest.mark.parametrize("rates, seeds", [
         (DENSE_CLASS_RATES, (141, 142)),
         ((3.0,), (143, 144)),
         ((TOP_TABLE_RATE,), (145, 146)),
-    ], ids=["dense_spec", "rate_3", "top_rate"])
+        ((NUMPY_RATE,), (147, 148)),
+    ], ids=["dense_spec", "rate_3", "top_rate", "numpy_rate"])
     def test_law(self, reseed_once, rates, seeds):
         # Each rate's counts against the Poisson pmf: a chi-square test at the
         # 0.01% level over the counts expecting at least 5 draws, the tails
@@ -982,7 +1034,7 @@ class TestPoissonTable:
     @pytest.mark.parametrize("rates, poisson_rows", [
         (DENSE_CLASS_RATES, 0),
         ((200.0, 8.4, 5.88), 1),
-        ((1e4, 150.0, TOP_TABLE_RATE, 3.0), 2),
+        ((1e4, NUMPY_RATE, TOP_TABLE_RATE, 3.0), 2),
     ])
     def test_only_rows_past_the_table_call_poisson(self, rates, poisson_rows):
         width = 1_000
