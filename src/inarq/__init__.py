@@ -18,9 +18,8 @@ _EXPORTS = {
                     "individual_level_checks", "joint_pmf_oracle",
                     "theoretical_observed_moments", "total_variation"),
     "equivalence": ("CanonicalForm", "CurvePoint", "UnderreportedModel", "absorb_reporting",
-                    "admissible_reporting_interval", "canonicalize", "curve_to_csv",
-                    "equivalence_curve", "expand_lags", "shift_reporting", "split_reporting",
-                    "write_curve_csv"),
+                    "admissible_reporting_interval", "canonicalize", "equivalence_curve",
+                    "expand_lags", "shift_reporting", "split_reporting", "write_curve_csv"),
     "errors": ("AdmissibleRangeError", "DegenerateClassError", "InarError", "ParameterError",
                "TruncationError", "UnsupportedMechanismError"),
     "processes": ("CountSeries", "PopulationTrace", "apply_reporting", "simulate_inar1",

@@ -241,14 +241,11 @@ def equivalence_curve(model: UnderreportedModel, grid_size: int) -> list[CurvePo
     return points
 
 
-def curve_to_csv(points: list[CurvePoint]) -> str:
-    lines = ["q_Y,lambda_Y,beta_Y,gamma_Y"]
-    lines.extend(
-        f"{p.q_y:.6g},{p.lambda_y:.6g},{p.beta_y:.6g},{p.gamma_y:.6g}" for p in points
-    )
-    return "\n".join(lines) + "\n"
-
-
 def write_curve_csv(points: list[CurvePoint], path) -> None:
+    """Write ``points`` to ``path`` as CSV: the header ``q_Y,lambda_Y,beta_Y,gamma_Y``,
+    then one row per point, every field in ``.6g``."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(curve_to_csv(points))
+        fh.write("q_Y,lambda_Y,beta_Y,gamma_Y\n")
+        fh.writelines(
+            f"{p.q_y:.6g},{p.lambda_y:.6g},{p.beta_y:.6g},{p.gamma_y:.6g}\n" for p in points
+        )

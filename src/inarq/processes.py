@@ -45,9 +45,6 @@ class CountSeries:
     def __len__(self) -> int:
         return int(self.values.size)
 
-    def to_csv(self) -> str:
-        return b"".join(_series_csv(self)).decode("ascii")
-
 
 # Rows rendered at once by _csv_rows; bounds its working arrays.
 _CSV_CHUNK_ROWS = 1 << 16
@@ -125,15 +122,11 @@ def _csv_rows(header: bytes, columns, steps: bool = False):
         yield chars[chars != 0]
 
 
-def _series_csv(series: CountSeries):
-    return _csv_rows(b"t,count\n", (series.values,), steps=True)
-
-
 def write_series_csv(series: CountSeries, path) -> None:
-    """Write ``series.to_csv()`` to ``path``: the header ``t,count``, then one
+    """Write ``series`` to ``path`` as CSV: the header ``t,count``, then one
     row per step, as the chunks :func:`_csv_rows` renders."""
     with open(path, "wb") as fh:
-        fh.writelines(_series_csv(series))
+        fh.writelines(_csv_rows(b"t,count\n", (series.values,), steps=True))
 
 
 # Expected entries per block of steps: appearances, or on the unit-gap path
@@ -561,9 +554,11 @@ def _byte_table(pmf: np.ndarray, last: np.ndarray) -> tuple[np.ndarray, np.ndarr
     cdf = np.cumsum(pmf, axis=1)
     cdf[np.arange(cdf.shape[1]) >= last[:, None]] = 1.0
     cdf = np.minimum(cdf, 1.0) * 256.0  # a sum rounded above 1 would leave the last cell
-    cells = np.arange(256.0)
-    table = np.array([np.searchsorted(row, cells, side="right") for row in cdf], dtype=np.uint8)
-    table = table.reshape(len(cdf), cells.size)
+    # table[r, b] counts the steps cdf[r, k] <= b, those whose ceiling is at
+    # most b: a running sum over b of the ceilings' counts, all rows in one bincount.
+    ceilings = np.ceil(cdf).astype(np.int64) + 257 * np.arange(len(cdf))[:, None]
+    counts = np.bincount(ceilings.ravel(), minlength=257 * len(cdf)).reshape(-1, 257)
+    table = np.cumsum(counts[:, :256], axis=1).astype(np.uint8)
     rows, steps = np.nonzero(cdf != np.floor(cdf))
     table[rows, cdf[rows, steps].astype(np.int64)] = _STRADDLE
     table.flags.writeable = cdf.flags.writeable = False
@@ -598,33 +593,28 @@ def _inversion_table(q: float) -> tuple[np.ndarray, np.ndarray]:
     return _byte_table(_binomial_table(q, _TABLE_TOP), np.arange(_TABLE_TOP + 1))
 
 
-def _poisson_row(rate: float) -> np.ndarray:
-    """The Poisson(``rate``) pmf on 0..c, c the least count with P(X > c)
-    below ``_POISSON_TAIL``: 60 cells at ``_POISSON_TABLE_RATE``.
-
-    The pmf is exp(-rate) times a running product of rate / k, so past one
-    exp it takes ``*`` and ``/`` only, like the binomial table's ``+`` and
-    ``*``; the oracle's log-factorial pmf (``diagnostics._poisson_pmf``)
-    serves rates whose exp(-rate) underflows, which no row here has. The
-    tail is summed from the top of a support far past any row's cut.
-    """
-    ratios = np.concatenate(([1.0], rate / np.arange(1, 2 * _STRADDLE)))
-    pmf = math.exp(-rate) * np.cumprod(ratios)
-    beyond = np.cumsum(pmf[:0:-1])[::-1]  # P(c < X < 2 * _STRADDLE) for c = 0, 1, ...
-    return pmf[: int(np.argmax(beyond < _POISSON_TAIL)) + 1]
-
-
 @lru_cache(maxsize=4)
 def _poisson_table(rates: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The :func:`_byte_table` of the Poisson rows (:func:`_poisson_row`) of
-    the ``rates`` up to ``_POISSON_TABLE_RATE``, in order, and the read-only
-    mask of those rates."""
+    """The :func:`_byte_table` of the Poisson laws of the ``rates`` up to
+    ``_POISSON_TABLE_RATE``, in order, and the read-only mask of those rates.
+
+    Row r is the Poisson pmf on 0..c, c the least count with P(X > c) below
+    ``_POISSON_TAIL``: 60 cells at ``_POISSON_TABLE_RATE``. The pmf is
+    exp(-rate) times a running product of rate / k, so past one ``math.exp``
+    per rate it takes ``*`` and ``/`` only, like the binomial table's ``+``
+    and ``*``; the oracle's log-factorial pmf (``diagnostics._poisson_pmf``)
+    serves rates whose exp(-rate) underflows, which no row here has. Each
+    tail is summed from the top of 128 cells, where the mass left at the top
+    rate is below 1e-60, so no cut moves.
+    """
     fits = np.array(rates, dtype=np.float64) <= _POISSON_TABLE_RATE
-    rows = [_poisson_row(rate) for rate, fit in zip(rates, fits) if fit]
-    pmf = np.zeros((len(rows), max((row.size for row in rows), default=1)))
-    for r, row in enumerate(rows):
-        pmf[r, : row.size] = row
-    table, cdf = _byte_table(pmf, np.array([row.size - 1 for row in rows], dtype=np.int64))
+    admitted = np.compress(fits, rates)
+    ratios = np.ones((admitted.size, 128))
+    ratios[:, 1:] = admitted[:, None] / np.arange(1, 128)
+    pmf = np.array(list(map(math.exp, -admitted)))[:, None] * np.cumprod(ratios, axis=1)
+    beyond = np.cumsum(pmf[:, :0:-1], axis=1)[:, ::-1]  # P(c < X < 128) for c = 0, 1, ...
+    last = np.argmax(beyond < _POISSON_TAIL, axis=1)
+    table, cdf = _byte_table(pmf[:, : last.max(initial=0) + 1], last)
     fits.flags.writeable = False
     return table, cdf, fits
 
@@ -780,45 +770,35 @@ class PopulationTrace:
             for b, d, s, e in zip(self.births.tolist(), self.deaths.tolist(), [0, *ends], ends)
         )
 
-    def _csv(self):
-        columns = (self.x, self.x_tilde, self.u_total, self.v_total)
-        return _csv_rows(b"t,x,x_tilde,u_total,v_total\n", columns, steps=True)
-
-    def _long_csv(self):
-        rows = np.concatenate((self.u_counts, self.v_counts))
-        kind = np.repeat(np.array([ord("u"), ord("v")], dtype=np.uint8),
-                         [len(self.u_counts), len(self.v_counts)])
-        # Each table comes sorted by (t, i), so a stable sort of the stacked
-        # pairs merges them and keeps a u row before a v row of the same pair.
-        # Every t and i of a simulated trace is below its length, and then
-        # one int64 key, t * len + i, orders the pairs.
-        if rows[:, :2].max(initial=0) < len(self):
-            order = np.argsort(rows[:, 0] * len(self) + rows[:, 1], kind="stable")
-        else:
-            order = np.lexsort((rows[:, 1], rows[:, 0]))
-        rows, kind = rows[order], kind[order]
-        return _csv_rows(b"t,i,kind,count\n", (rows[:, 0], rows[:, 1], kind, rows[:, 2]))
-
-    def to_csv(self) -> str:
-        """One row ``t,x,x_tilde,u_total,v_total`` per step, after that header."""
-        return b"".join(self._csv()).decode("ascii")
-
-    def to_long_csv(self) -> str:
-        """The rows of both decomposition tables, ordered by (t, i, kind).
-
-        Header ``t,i,kind,count``; ``kind`` is ``u`` for a row of ``u_counts``
-        (first observations at t of individuals born at t-i) and ``v`` for a
-        row of ``v_counts`` (observations at t whose previous one was at t-i).
-        """
-        return b"".join(self._long_csv()).decode("ascii")
-
 
 def write_trace_csv(trace: PopulationTrace, path, long_path) -> None:
-    """Write ``trace.to_csv()`` to ``path`` and ``trace.to_long_csv()`` to ``long_path``."""
+    """Write ``trace`` as two CSV files.
+
+    ``path`` gets the header ``t,x,x_tilde,u_total,v_total`` and one row per
+    step. ``long_path`` gets the header ``t,i,kind,count`` and the rows of both
+    decomposition tables, ordered by (t, i, kind): ``kind`` is ``u`` for a row
+    of ``u_counts`` (first observations at t of individuals born at t-i) and
+    ``v`` for a row of ``v_counts`` (observations at t whose previous one was
+    at t-i).
+    """
+    columns = (trace.x, trace.x_tilde, trace.u_total, trace.v_total)
     with open(path, "wb") as fh:
-        fh.writelines(trace._csv())
+        fh.writelines(_csv_rows(b"t,x,x_tilde,u_total,v_total\n", columns, steps=True))
+    rows = np.concatenate((trace.u_counts, trace.v_counts))
+    kind = np.repeat(np.array([ord("u"), ord("v")], dtype=np.uint8),
+                     [len(trace.u_counts), len(trace.v_counts)])
+    # Each table comes sorted by (t, i), so a stable sort of the stacked
+    # pairs merges them and keeps a u row before a v row of the same pair.
+    # Every t and i of a simulated trace is below its length, and then
+    # one int64 key, t * len + i, orders the pairs.
+    if rows[:, :2].max(initial=0) < len(trace):
+        order = np.argsort(rows[:, 0] * len(trace) + rows[:, 1], kind="stable")
+    else:
+        order = np.lexsort((rows[:, 1], rows[:, 0]))
+    rows, kind = rows[order], kind[order]
+    del order  # freed before the write, whose chunk buffers set the peak RSS
     with open(long_path, "wb") as fh:
-        fh.writelines(trace._long_csv())
+        fh.writelines(_csv_rows(b"t,i,kind,count\n", (rows[:, 0], rows[:, 1], kind, rows[:, 2])))
 
 
 def _tally_pairs(t: np.ndarray, i: np.ndarray, t_len: int) -> np.ndarray:

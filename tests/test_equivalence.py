@@ -18,12 +18,12 @@ from inarq import (
     admissible_reporting_interval,
     apply_reporting,
     canonicalize,
-    curve_to_csv,
     equivalence_curve,
     expand_lags,
     shift_reporting,
     simulate_inar1,
     split_reporting,
+    write_curve_csv,
 )
 from inarq.processes import LAYOUT_MAX_MEAN, _require_geom_block_size, simulation_route
 
@@ -307,8 +307,11 @@ class TestEquivalenceCurve:
         with pytest.raises(ParameterError):
             equivalence_curve(EXAMPLE, 1)
 
-    def test_csv_format(self):
-        text = curve_to_csv(equivalence_curve(EXAMPLE, 3))
+    def test_csv_format(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        write_curve_csv(equivalence_curve(EXAMPLE, 3), path)
+        text = path.read_bytes().decode("utf-8")
+        assert text.endswith("\n") and "\r" not in text
         lines = text.splitlines()
         assert lines[0] == "q_Y,lambda_Y,beta_Y,gamma_Y"
         assert len(lines) == 4

@@ -40,10 +40,11 @@ from inarq.processes import (
     _POISSON_TABLE_RATE,
     _POISSON_TAIL,
     _poisson_counts,
-    _poisson_row,
     _poisson_table,
     _require_block_size,
     _require_geom_block_size,
+    _STRADDLE,
+    _TABLE_TOP,
     _thin,
     _unit_gaps,
     write_series_csv,
@@ -123,21 +124,35 @@ class TestCountSeries:
         with pytest.raises(ValueError):
             s.values[0] = 5
 
-    def test_csv_format(self):
+    def test_csv_format(self, tmp_path):
         s = CountSeries(np.array([3, 0, 1]), (0, 0), 0, "x")
-        assert s.to_csv() == "t,count\n0,3\n1,0\n2,1\n"
+        assert series_csv(s, tmp_path) == b"t,count\n0,3\n1,0\n2,1\n"
 
-    def test_chunked_writer_matches_to_csv(self, tmp_path):
+    def test_chunked_writer_matches_small_chunks(self, tmp_path, monkeypatch):
         values = np.random.default_rng(3).poisson(7.0, _CSV_CHUNK_ROWS + 17)
         s = CountSeries(values, (0, 0), 0, "x")
-        path = tmp_path / "series.csv"
-        write_series_csv(s, path)
-        assert path.read_bytes() == s.to_csv().encode("utf-8")
+        default = series_csv(s, tmp_path)
+        monkeypatch.setattr(processes, "_CSV_CHUNK_ROWS", 1000)
+        assert series_csv(s, tmp_path) == default
 
 
 INT64_MAX = int(np.iinfo(np.int64).max)
 # Both sides of every decimal-width boundary, then the largest int64.
 DIGIT_BOUNDARIES = [0] + [v for k in range(1, 19) for v in (10**k - 1, 10**k)] + [INT64_MAX]
+
+
+def series_csv(series, tmp_path):
+    """The bytes :func:`write_series_csv` writes for ``series``."""
+    path = tmp_path / "series.csv"
+    write_series_csv(series, path)
+    return path.read_bytes()
+
+
+def trace_csvs(trace, tmp_path):
+    """The bytes :func:`write_trace_csv` writes for ``trace``: the wide file, the long one."""
+    paths = tmp_path / "trace.csv", tmp_path / "trace_long.csv"
+    write_trace_csv(trace, *paths)
+    return tuple(path.read_bytes() for path in paths)
 
 
 def reference_csv(header, rows):
@@ -307,11 +322,7 @@ class TestCsvAgainstReference:
             "two_chunks"])
     def test_series(self, tmp_path, values):
         s = CountSeries(np.asarray(values, dtype=np.int64), (0, 0), 0, "x")
-        expected = reference_series_csv(s.values)
-        assert_same_csv(s.to_csv(), expected)
-        path = tmp_path / "series.csv"
-        write_series_csv(s, path)
-        assert_same_csv(path.read_bytes(), expected)
+        assert_same_csv(series_csv(s, tmp_path), reference_series_csv(s.values))
 
     @staticmethod
     def boundary_trace():
@@ -330,19 +341,13 @@ class TestCsvAgainstReference:
         # cross t = 10, 100 and 1000 inside a chunk.
         monkeypatch.setattr(processes, "_CSV_CHUNK_ROWS", 7)
         s = CountSeries(np.random.default_rng(5).poisson(30.0, 1234), (0, 0), 0, "x")
-        expected = reference_series_csv(s.values)
-        assert_same_csv(s.to_csv(), expected)
-        write_series_csv(s, tmp_path / "series.csv")
-        assert_same_csv((tmp_path / "series.csv").read_bytes(), expected)
+        assert_same_csv(series_csv(s, tmp_path), reference_series_csv(s.values))
         trace = simulate_individual_level(Inar1Spec(LAM, ALPHA), ReportingSpec(q=Q), 1234,
                                           RngStream(9))
         wide, long = reference_trace_csvs(trace)
-        assert_same_csv(trace.to_csv(), wide)
-        assert_same_csv(trace.to_long_csv(), long)
-        paths = tmp_path / "trace.csv", tmp_path / "trace_long.csv"
-        write_trace_csv(trace, *paths)
-        assert_same_csv(paths[0].read_bytes(), wide)
-        assert_same_csv(paths[1].read_bytes(), long)
+        written = trace_csvs(trace, tmp_path)
+        assert_same_csv(written[0], wide)
+        assert_same_csv(written[1], long)
         assert long.count("\n") > 1000  # the long CSV's t crosses 1000 inside its chunks too
 
     @pytest.mark.parametrize("make, kinds", [
@@ -356,12 +361,9 @@ class TestCsvAgainstReference:
     def test_trace(self, tmp_path, make, kinds):
         trace = make()
         wide, long = reference_trace_csvs(trace)
-        assert_same_csv(trace.to_csv(), wide)
-        assert_same_csv(trace.to_long_csv(), long)
-        paths = tmp_path / "trace.csv", tmp_path / "trace_long.csv"
-        write_trace_csv(trace, *paths)
-        assert_same_csv(paths[0].read_bytes(), wide)
-        assert_same_csv(paths[1].read_bytes(), long)
+        written = trace_csvs(trace, tmp_path)
+        assert_same_csv(written[0], wide)
+        assert_same_csv(written[1], long)
         assert {row.split(",")[2] for row in long.splitlines()[1:]} == kinds
 
 
@@ -429,11 +431,11 @@ class TestInar1:
 
         reseed_once(check, 21, 22)
 
-    def test_deterministic_given_seed(self):
+    def test_deterministic_given_seed(self, tmp_path):
         a = simulate_inar1(Inar1Spec(LAM, ALPHA), 2_000, RngStream(5, 7))
         b = simulate_inar1(Inar1Spec(LAM, ALPHA), 2_000, RngStream(5, 7))
         assert np.array_equal(a.values, b.values)
-        assert a.to_csv() == b.to_csv()
+        assert series_csv(a, tmp_path) == series_csv(b, tmp_path)
 
 
 class TestInarP:
@@ -963,6 +965,12 @@ class TestThinTable:
         assert g.calls["binomial"] == 0
         assert g.calls["integers"] == 1
 
+    @pytest.mark.parametrize("q", [1e-9, 0.5, 0.999999, 0.33, 2.0**-8, *np.linspace(0.0, 1.0, 61)])
+    def test_table_matches_the_per_row_reference(self, q):
+        want = reference_byte_table(processes._binomial_table(q, _TABLE_TOP),
+                                    np.arange(_TABLE_TOP + 1))
+        assert_same_arrays(_inversion_table.__wrapped__(q), want)
+
     def test_table_is_cached_and_read_only(self):
         table, cdf = _inversion_table(0.33)
         again = _inversion_table(0.33)
@@ -984,13 +992,54 @@ TOP_TABLE_RATE = _POISSON_TABLE_RATE
 NUMPY_RATE = 145.0
 
 
+def reference_byte_table(pmf, last):
+    """:func:`processes._byte_table` one row at a time: table[r, b] is the
+    ``searchsorted`` of b among row r's CDF steps."""
+    cdf = np.cumsum(pmf, axis=1)
+    cdf[np.arange(cdf.shape[1]) >= last[:, None]] = 1.0
+    cdf = np.minimum(cdf, 1.0) * 256.0
+    cells = np.arange(256.0)
+    table = np.array([np.searchsorted(row, cells, side="right") for row in cdf], dtype=np.uint8)
+    table = table.reshape(len(cdf), cells.size)
+    rows, steps = np.nonzero(cdf != np.floor(cdf))
+    table[rows, cdf[rows, steps].astype(np.int64)] = _STRADDLE
+    return table.ravel(), cdf
+
+
+def reference_poisson_row(rate):
+    """The Poisson(``rate``) pmf on 0..c, c the least count with P(X > c) below
+    ``_POISSON_TAIL``, its tail summed from the top of a 510-cell support."""
+    ratios = np.concatenate(([1.0], rate / np.arange(1, 2 * _STRADDLE)))
+    pmf = math.exp(-rate) * np.cumprod(ratios)
+    beyond = np.cumsum(pmf[:0:-1])[::-1]
+    return pmf[: int(np.argmax(beyond < _POISSON_TAIL)) + 1]
+
+
+def reference_poisson_table(rates):
+    """:func:`_poisson_table` one :func:`reference_poisson_row` per admitted rate."""
+    fits = np.array(rates, dtype=np.float64) <= _POISSON_TABLE_RATE
+    rows = [reference_poisson_row(rate) for rate, fit in zip(rates, fits) if fit]
+    pmf = np.zeros((len(rows), max((row.size for row in rows), default=1)))
+    for r, row in enumerate(rows):
+        pmf[r, : row.size] = row
+    return (*reference_byte_table(pmf, np.array([row.size - 1 for row in rows])), fits)
+
+
+def assert_same_arrays(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+
+
 class TestPoissonTable:
     """Per-step class counts of a rate up to 16 are drawn from one random
     byte each and a Poisson table cached per set of rates."""
 
     @pytest.mark.parametrize("rate", [*DENSE_CLASS_RATES, 3.0, TOP_TABLE_RATE])
     def test_row_drops_a_tail_below_2_to_the_minus_53(self, rate):
-        cut = _poisson_row(rate).size - 1
+        _, cdf, _ = _poisson_table((rate,))
+        cut = cdf.shape[1] - 1  # one row, as wide as its own cut
+        assert cdf[0, cut] == 256.0
         assert sps.poisson.sf(cut, rate) < _POISSON_TAIL == 2.0**-53
         assert sps.poisson.sf(cut - 1, rate) >= _POISSON_TAIL  # the least such cut
 
@@ -1000,7 +1049,7 @@ class TestPoissonTable:
         table, cdf, fits = _poisson_table((3.0, past, TOP_TABLE_RATE, NUMPY_RATE, 1e6))
         assert fits.tolist() == [True, False, True, False, False]
         # two rows, as wide as the top rate's: 60 cells
-        assert cdf.shape == (2, _poisson_row(TOP_TABLE_RATE).size) and cdf.shape[1] == 60
+        assert cdf.shape == (2, _poisson_table((TOP_TABLE_RATE,))[1].shape[1]) == (2, 60)
         assert table.size == 2 * 256
 
     @pytest.mark.parametrize("rates, seeds", [
@@ -1047,6 +1096,16 @@ class TestPoissonTable:
         # every row keeps its own rate, whichever way it was drawn
         means = counts.mean(axis=1)
         assert (np.abs(means - rates) <= 6 * np.sqrt(np.array(rates) / width)).all()
+
+    @pytest.mark.parametrize("lam, rho, rows", [
+        (1e6, 0.9995, 3347), (28.0, 0.7, 3), (2e3, 0.9, 16), (1e3, 0.99, 120),
+    ], ids=["near_bound", "dense_spec", "rate_2e3", "rate_1e3"])
+    def test_table_matches_the_per_row_reference(self, lam, rho, rows):
+        # The dense class rates _chain_blocks draws by _poisson_counts.
+        rates = lam * (1.0 - rho) * rho ** np.arange(_dense_classes(lam, rho), dtype=np.float64)
+        got = _poisson_table.__wrapped__(tuple(rates.tolist()))
+        assert got[2].sum() == len(got[1]) == rows
+        assert_same_arrays(got, reference_poisson_table(tuple(rates.tolist())))
 
     def test_table_is_cached_and_read_only(self):
         table, cdf, fits = _poisson_table(DENSE_CLASS_RATES)
@@ -1117,14 +1176,15 @@ class TestIndividualLevel:
         assert t.gaps.size == 0
         assert (t.v_total == 0).all()
 
-    def test_trace_csv_shapes(self, trace):
-        header, first = trace.to_csv().splitlines()[:2]
+    def test_trace_csv_shapes(self, trace, tmp_path):
+        wide, long = trace_csvs(trace, tmp_path)
+        header, first = wide.decode("ascii").splitlines()[:2]
         assert header == "t,x,x_tilde,u_total,v_total"
         assert len(first.split(",")) == 5
-        long_header = trace.to_long_csv().splitlines()[0]
+        long_header = long.decode("ascii").splitlines()[0]
         assert long_header == "t,i,kind,count"
 
-    def test_deterministic_given_seed(self):
+    def test_deterministic_given_seed(self, tmp_path):
         a = simulate_individual_level(
             Inar1Spec(LAM, ALPHA), ReportingSpec(q=Q), 2_000, RngStream(5, 7)
         )
@@ -1132,7 +1192,7 @@ class TestIndividualLevel:
             Inar1Spec(LAM, ALPHA), ReportingSpec(q=Q), 2_000, RngStream(5, 7)
         )
         assert np.array_equal(a.x, b.x)
-        assert a.to_long_csv() == b.to_long_csv()
+        assert trace_csvs(a, tmp_path)[1] == trace_csvs(b, tmp_path)[1]
 
 
 class TestTracePathwiseIdentities:
@@ -1188,8 +1248,8 @@ class TestTracePathwiseIdentities:
         # alive at the last step = still alive after it, or dying right at the horizon
         assert (trace.deaths >= t_len).sum() == trace.x[-1]
 
-    def test_long_csv_lists_both_tables(self, trace):
-        lines = trace.to_long_csv().splitlines()
+    def test_long_csv_lists_both_tables(self, trace, tmp_path):
+        lines = trace_csvs(trace, tmp_path)[1].decode("ascii").splitlines()
         assert lines[0] == "t,i,kind,count"
         rows = [line.split(",") for line in lines[1:]]
         keys = [(int(t), int(i), kind) for t, i, kind, _ in rows]
@@ -1209,9 +1269,7 @@ class TestIndividualsView:
     def test_checks_and_csv_build_no_individual_records(self, tmp_path):
         t = self.small()
         individual_level_checks(t)
-        t.to_csv()
-        t.to_long_csv()
-        write_trace_csv(t, tmp_path / "trace.csv", tmp_path / "trace_long.csv")
+        trace_csvs(t, tmp_path)
         assert "individuals" not in vars(t)
 
     def test_records_agree_with_columns(self):
