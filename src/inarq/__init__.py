@@ -16,10 +16,10 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "diagnostics": ("EquivalenceReport", "TraceCheckReport", "equivalence_mc_test",
                     "individual_level_checks", "joint_pmf_oracle",
-                    "theoretical_observed_moments", "total_variation"),
+                    "theoretical_observed_moments"),
     "equivalence": ("CanonicalForm", "CurvePoint", "UnderreportedModel", "absorb_reporting",
-                    "admissible_reporting_interval", "canonicalize", "equivalence_curve",
-                    "expand_lags", "shift_reporting", "split_reporting", "write_curve_csv"),
+                    "canonicalize", "equivalence_curve", "expand_lags", "shift_reporting",
+                    "write_curve_csv"),
     "errors": ("AdmissibleRangeError", "DegenerateClassError", "InarError", "ParameterError",
                "TruncationError", "UnsupportedMechanismError"),
     "processes": ("CountSeries", "PopulationTrace", "apply_reporting", "simulate_inar1",

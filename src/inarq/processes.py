@@ -688,72 +688,98 @@ def apply_reporting(
 
 @dataclass(frozen=True)
 class PopulationTrace:
-    """Aggregated individual-level history of births, survival and observation.
+    """Individual-level history of births, survival and observation, and its aggregates.
 
-    Per-step arrays (all of equal length):
+    Constructor columns, as int64 arrays:
+      births, deaths  one entry per individual, alive at the steps [birth,
+                      death): each birth in [0, ``length``), and a death past
+                      ``length`` means still alive at the end;
+      obs_times, obs_owner  one entry per observation, grouped by individual
+                      and in time order: its step, below ``length`` and in
+                      its individual's lifetime, and its individual's index.
+    ``params`` is the (lambda, alpha, q) that generated the trace.
+
+    Derived from the columns, read-only: per-step arrays of ``length`` entries,
       x        alive individuals,
       x_tilde  observed individuals,
       u_total  observed for the first time,
       v_total  observed before and observed again now,
-      b_tilde  observed now and observed again at some later step.
-
-    Decomposition tables, as int64 arrays:
+      b_tilde  observed now and observed again at some later step;
+    and decomposition tables, rows sorted by (t, i) with positive counts:
       u_counts rows (t, i, count): ``count`` individuals first observed at t
                and born at t-i;
       v_counts rows (t, i, count): ``count`` observations at t whose previous
                observation was at t-i;
       gaps     ``gaps[i]`` re-observations after a gap of i steps (size 0
                when nothing was observed twice).
-    The rows of u_counts and v_counts are sorted by (t, i), with positive counts.
-
-    Individuals, as columns:
-      births, deaths  one entry per individual; the individual is alive at
-                      the steps [birth, death), and a death past ``len(trace)``
-                      means it is still alive at the end;
-      obs_times, obs_owner  one entry per observation, grouped by individual,
-                      giving its step and its individual's index.
-    Every observation time lies in [birth, death) of its individual. The
-    ``individuals`` property gives the same individuals as tuples.
+    The ``individuals`` property gives the individuals as tuples.
     """
 
-    x: np.ndarray
-    x_tilde: np.ndarray
-    u_total: np.ndarray
-    v_total: np.ndarray
-    b_tilde: np.ndarray
-    u_counts: np.ndarray = field(repr=False)
-    v_counts: np.ndarray = field(repr=False)
-    gaps: np.ndarray = field(repr=False)
     births: np.ndarray = field(repr=False)
     deaths: np.ndarray = field(repr=False)
     obs_times: np.ndarray = field(repr=False)
     obs_owner: np.ndarray = field(repr=False)
-    params: tuple[float, float, float]  # (lambda, alpha, q) that generated it
+    length: int
+    params: tuple[float, float, float]
     seed: tuple[int, int]
+    x: np.ndarray = field(init=False)
+    x_tilde: np.ndarray = field(init=False)
+    u_total: np.ndarray = field(init=False)
+    v_total: np.ndarray = field(init=False)
+    b_tilde: np.ndarray = field(init=False)
+    u_counts: np.ndarray = field(init=False, repr=False)
+    v_counts: np.ndarray = field(init=False, repr=False)
+    gaps: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        for name in ("x", "x_tilde", "u_total", "v_total", "b_tilde", "u_counts", "v_counts",
-                     "gaps", "births", "deaths", "obs_times", "obs_owner"):
-            arr = np.asarray(getattr(self, name), dtype=np.int64)
+        def freeze(name, value):
+            arr = np.asarray(value, dtype=np.int64)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if not (self.x_tilde == self.u_total + self.v_total).all():
-            raise ParameterError(
-                "observed counts must split exactly into first and repeat observations"
-            )
+
+        for name in ("births", "deaths", "obs_times", "obs_owner"):
+            freeze(name, getattr(self, name))
+        births, deaths, t_len = self.births, self.deaths, self.length
         owner, times = self.obs_owner, self.obs_times
         grouped = owner.size == 0 or (
-            owner[0] >= 0 and owner[-1] < self.births.size and (np.diff(owner) >= 0).all()
+            owner[0] >= 0 and owner[-1] < births.size and (np.diff(owner) >= 0).all()
         )
-        if self.births.shape != self.deaths.shape or owner.shape != times.shape or not grouped:
+        if births.shape != deaths.shape or owner.shape != times.shape or not grouped:
             raise ParameterError(
                 "observations must be grouped by individual, each owned by one of them"
             )
-        if not ((self.births[owner] <= times) & (times < self.deaths[owner])).all():
-            raise ParameterError("observation times must lie within the individual's lifetime")
+        if t_len < 1 or not ((births >= 0) & (births < t_len)).all():
+            raise ParameterError(f"every birth must lie in [0, {t_len}), of at least one step")
+        if not (deaths > births).all():
+            raise ParameterError("every death must come after its birth")
+        if not (times < t_len).all():
+            raise ParameterError(f"every observation time must lie before {t_len}")
+        # Each observation is either its individual's first or a
+        # re-observation of the one before it.
+        first = np.ones(times.size, dtype=bool)
+        first[1:] = owner[1:] != owner[:-1]
+        again = np.flatnonzero(~first)
+        prev_t = times[again - 1]
+        gaps = times[again] - prev_t
+        if not ((births[owner] <= times) & (times < deaths[owner])).all() or (gaps <= 0).any():
+            raise ParameterError(
+                "observation times must lie within the individual's lifetime, in time order"
+            )
+        per_step = partial(np.bincount, minlength=t_len)
+        # Alive at [birth, min(death, length)): +1 at the birth, -1 at the clipped death.
+        alive = np.bincount(births, minlength=t_len + 1)
+        alive -= np.bincount(np.minimum(deaths, t_len), minlength=t_len + 1)
+        freeze("x", np.cumsum(alive[:t_len]))
+        freeze("x_tilde", per_step(times))
+        freeze("u_total", per_step(times[first]))
+        freeze("v_total", per_step(times[again]))
+        freeze("b_tilde", per_step(prev_t))  # each predecessor has a later observation
+        freeze("u_counts", _tally_pairs(times[first], times[first] - births[owner[first]], t_len))
+        freeze("v_counts", _tally_pairs(times[again], gaps, t_len))
+        freeze("gaps", np.bincount(gaps))
 
     def __len__(self) -> int:
-        return int(self.x.size)
+        return self.length
 
     @cached_property
     def individuals(self) -> tuple:
@@ -789,12 +815,9 @@ def write_trace_csv(trace: PopulationTrace, path, long_path) -> None:
                      [len(trace.u_counts), len(trace.v_counts)])
     # Each table comes sorted by (t, i), so a stable sort of the stacked
     # pairs merges them and keeps a u row before a v row of the same pair.
-    # Every t and i of a simulated trace is below its length, and then
-    # one int64 key, t * len + i, orders the pairs.
-    if rows[:, :2].max(initial=0) < len(trace):
-        order = np.argsort(rows[:, 0] * len(trace) + rows[:, 1], kind="stable")
-    else:
-        order = np.lexsort((rows[:, 1], rows[:, 0]))
+    # Every t and i is below the trace's length, so one int64 key,
+    # t * len + i, orders the pairs.
+    order = np.argsort(rows[:, 0] * len(trace) + rows[:, 1], kind="stable")
     rows, kind = rows[order], kind[order]
     del order  # freed before the write, whose chunk buffers set the peak RSS
     with open(long_path, "wb") as fh:
@@ -825,7 +848,9 @@ def simulate_individual_level(
 
     The individuals come straight from the chain kernel's draws as the
     trace's columns: births and unclipped deaths in draw order (not step
-    order), and the observations grouped by individual and in time order.
+    order), and the observations grouped by individual and in time order;
+    the trace derives every per-step series and table from them. Only the
+    steps each individual is alive before the horizon are laid out.
     Nothing is built per individual; memory still grows with lambda * t_len,
     so a trace expecting more than ``_MAX_BLOCK_APPEARANCES`` appearances,
     lambda * t_len / (1 - alpha), is rejected before any draw.
@@ -843,38 +868,13 @@ def simulate_individual_level(
     _require_steps(t_len, "trace length")
     blocks = [b[1:3] for b in _chain_blocks(spec.lambda_, spec.alpha, t_len, rng)]
     births, lengths = map(np.concatenate, zip(*blocks))
-    # Each individual is alive at the consecutive steps [birth, birth + length).
-    total = int(lengths.sum())
-    times = np.repeat(births - (np.cumsum(lengths) - lengths), lengths) + np.arange(total)
-    owner = np.repeat(np.arange(births.size), lengths)
-    inside = times < t_len
-    times, owner = times[inside], owner[inside]
+    # Each individual is alive at the consecutive steps [birth, birth + length);
+    # only those before the horizon are laid out.
+    alive = np.minimum(lengths, t_len - births)
+    times = np.repeat(births - (np.cumsum(alive) - alive), alive) + np.arange(alive.sum())
+    owner = np.repeat(np.arange(births.size), alive)
     seen = rng.generator.random(times.size) < rep.q
-    obs_t, obs_owner = times[seen], owner[seen]
-    # Observations are grouped by individual and in time order: each one is
-    # either its individual's first or a re-observation of the one before it.
-    first = np.ones(obs_t.size, dtype=bool)
-    first[1:] = obs_owner[1:] != obs_owner[:-1]
-    again = np.nonzero(~first)[0]
-    prev_t = obs_t[again - 1]
-    gaps = obs_t[again] - prev_t
-
-    def per_step(t):
-        return np.bincount(t, minlength=t_len)
-
-    return PopulationTrace(
-        x=per_step(times),
-        x_tilde=per_step(obs_t),
-        u_total=per_step(obs_t[first]),
-        v_total=per_step(obs_t[again]),
-        b_tilde=per_step(prev_t),  # each predecessor has a later observation
-        u_counts=_tally_pairs(obs_t[first], obs_t[first] - births[obs_owner[first]], t_len),
-        v_counts=_tally_pairs(obs_t[again], gaps, t_len),
-        gaps=np.bincount(gaps),
-        births=births,
-        deaths=births + lengths,
-        obs_times=obs_t,
-        obs_owner=obs_owner,
-        params=(spec.lambda_, spec.alpha, rep.q),
-        seed=rng.identity,
-    )
+    obs_times, obs_owner = times[seen], owner[seen]
+    del times, owner, seen  # freed before the trace derives its aggregates
+    return PopulationTrace(births, births + lengths, obs_times, obs_owner, t_len,
+                           (spec.lambda_, spec.alpha, rep.q), rng.identity)

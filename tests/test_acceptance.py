@@ -21,7 +21,6 @@ from inarq import (
     RngStream,
     UnderreportedModel,
     absorb_reporting,
-    admissible_reporting_interval,
     canonicalize,
     equivalence_curve,
     equivalence_mc_test,
@@ -33,9 +32,9 @@ from inarq import (
     simulate_inar_inf,
     simulate_inar_p,
     simulate_individual_level,
-    split_reporting,
-    total_variation,
 )
+from inarq.diagnostics import total_variation
+from inarq.equivalence import admissible_reporting_interval, split_reporting
 
 LAM, ALPHA, Q = 1.62, 0.52, 0.33
 EXAMPLE = UnderreportedModel.from_inar1(Inar1Spec(LAM, ALPHA), Q)

@@ -24,7 +24,6 @@ from inarq import (
     simulate_inar_inf,
     simulate_individual_level,
     theoretical_observed_moments,
-    total_variation,
 )
 from inarq import diagnostics
 from inarq.diagnostics import (
@@ -41,6 +40,7 @@ from inarq.diagnostics import (
     _poisson_quantile,
     _pooled_pmf,
     _z_score,
+    total_variation,
 )
 from inarq.equivalence import canonicalize
 from inarq.processes import _MAX_STEPS

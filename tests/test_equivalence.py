@@ -15,16 +15,15 @@ from inarq import (
     RngStream,
     UnderreportedModel,
     absorb_reporting,
-    admissible_reporting_interval,
     apply_reporting,
     canonicalize,
     equivalence_curve,
     expand_lags,
     shift_reporting,
     simulate_inar1,
-    split_reporting,
     write_curve_csv,
 )
+from inarq.equivalence import admissible_reporting_interval, split_reporting
 from inarq.processes import LAYOUT_MAX_MEAN, _require_geom_block_size, simulation_route
 
 LAM, ALPHA, Q = 1.62, 0.52, 0.33

@@ -324,17 +324,21 @@ class TestCsvAgainstReference:
         s = CountSeries(np.asarray(values, dtype=np.int64), (0, 0), 0, "x")
         assert_same_csv(series_csv(s, tmp_path), reference_series_csv(s.values))
 
-    @staticmethod
-    def boundary_trace():
-        """A trace whose every column and table runs through DIGIT_BOUNDARIES."""
-        v = np.array(DIGIT_BOUNDARIES, dtype=np.int64)
-        empty = np.zeros(0, dtype=np.int64)
-        table = np.column_stack((v, v[::-1], v))
-        return PopulationTrace(
-            x=v, x_tilde=v, u_total=v // 2, v_total=v - v // 2, b_tilde=v,
-            u_counts=table, v_counts=table[::3], gaps=[], births=empty, deaths=empty,
-            obs_times=empty, obs_owner=empty, params=(LAM, ALPHA, Q), seed=(0, 0),
-        )
+    class BoundaryTrace:
+        """What :func:`write_trace_csv` reads of a trace, with every wide column
+        and both tables' counts running through DIGIT_BOUNDARIES. No valid
+        trace holds counts near INT64_MAX; t and i stay below the length."""
+
+        def __init__(self):
+            v = np.array(DIGIT_BOUNDARIES, dtype=np.int64)
+            self.x = self.x_tilde = v
+            self.u_total, self.v_total = v // 2, v - v // 2
+            steps = np.arange(v.size)
+            self.u_counts = np.column_stack((steps, steps[::-1], v))
+            self.v_counts = self.u_counts[::3]
+
+        def __len__(self):
+            return self.x.size
 
     def test_chunks_starting_inside_decades(self, tmp_path, monkeypatch):
         # 7-row chunks of 1234 rows: chunks start at every residue mod 10 and
@@ -356,7 +360,7 @@ class TestCsvAgainstReference:
         # no survival, so no re-observations: the long CSV has only u rows
         (lambda: simulate_individual_level(Inar1Spec(LAM, 0.0), ReportingSpec(q=Q), 5_000,
                                            RngStream(8)), {"u"}),
-        (lambda: TestCsvAgainstReference.boundary_trace(), {"u", "v"}),
+        (lambda: TestCsvAgainstReference.BoundaryTrace(), {"u", "v"}),
     ], ids=["worked_example", "no_reobservations", "digit_boundaries"])
     def test_trace(self, tmp_path, make, kinds):
         trace = make()
@@ -1288,18 +1292,14 @@ class TestIndividualsView:
 
 class TestPopulationTraceLifetimes:
     @staticmethod
-    def make(births, deaths, obs_times, obs_owner):
-        zeros = np.zeros(4, dtype=np.int64)
-        no_rows = np.zeros((0, 3), dtype=np.int64)
-        return PopulationTrace(
-            x=zeros, x_tilde=zeros, u_total=zeros, v_total=zeros, b_tilde=zeros,
-            u_counts=no_rows, v_counts=no_rows, gaps=[], births=births, deaths=deaths,
-            obs_times=obs_times, obs_owner=obs_owner, params=(LAM, ALPHA, Q), seed=(0, 0),
-        )
+    def make(births, deaths, obs_times, obs_owner, length=4):
+        return PopulationTrace(births=births, deaths=deaths, obs_times=obs_times,
+                               obs_owner=obs_owner, length=length, params=(LAM, ALPHA, Q),
+                               seed=(0, 0))
 
     def test_observations_inside_lifetimes_accepted(self):
         # the second individual outlives the horizon of 4 steps; the third is never seen
-        self.make([0, 1, 2], [2, 6, 3], [0, 1, 3, 1], [0, 0, 1, 1])
+        self.make([0, 1, 2], [2, 6, 3], [0, 1, 1, 3], [0, 0, 1, 1])
 
     def test_observation_before_birth_rejected(self):
         with pytest.raises(ParameterError):
@@ -1314,3 +1314,31 @@ class TestPopulationTraceLifetimes:
     def test_observation_owners_must_be_grouped_indices(self, owner):
         with pytest.raises(ParameterError):
             self.make([0, 1], [3, 3], [1, 1, 2], owner)
+
+    @pytest.mark.parametrize("births, deaths, obs_times, obs_owner, match", [
+        ([-1, 1], [2, 3], [0, 1], [0, 1], "every birth must lie in"),
+        ([0, 4], [2, 6], [0], [0], "every birth must lie in"),
+        ([0, 1], [2, 1], [0], [0], "after its birth"),
+        ([0, 1], [2, 6], [0, 1, 4], [0, 1, 1], "lie before 4"),
+        ([0, 1], [2, 6], [0, 3, 2], [0, 1, 1], "in time order"),
+    ], ids=["birth_before_start", "birth_at_length", "death_at_birth", "observed_at_length",
+            "observations_out_of_order"])
+    def test_columns_outside_the_trace_rejected(self, births, deaths, obs_times, obs_owner,
+                                                match):
+        with pytest.raises(ParameterError, match=match):
+            self.make(births, deaths, obs_times, obs_owner)
+
+    def test_length_below_one_step_rejected(self):
+        with pytest.raises(ParameterError, match="every birth must lie in"):
+            self.make([], [], [], [], length=0)
+
+    def test_derived_arrays_are_read_only(self):
+        trace = self.make([0, 1, 2], [2, 6, 3], [0, 1, 1, 3], [0, 0, 1, 1])
+        assert len(trace) == trace.length == 4
+        assert trace.x.tolist() == [1, 2, 2, 1]
+        assert trace.u_counts.tolist() == [[0, 0, 1], [1, 0, 1]]
+        assert trace.v_counts.tolist() == [[1, 1, 1], [3, 2, 1]]
+        for name in ("x", "x_tilde", "u_total", "v_total", "b_tilde", "u_counts", "v_counts",
+                     "gaps"):
+            value = getattr(trace, name)
+            assert value.dtype == np.int64 and not value.flags.writeable, name
