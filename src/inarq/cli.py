@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import importlib
 import json
 import os
 import sys
@@ -31,32 +30,35 @@ if TYPE_CHECKING:
     from .processes import CountSeries
     from .sampling import RngStream
 
-# The names the drawing commands call from the numpy-backed layers, imported
-# when one of those commands first runs, so the closed-form commands load no
-# numpy. They are bound as attributes of this module and looked up at call
-# time, so whoever replaces one here (a tracer, a test) replaces what the
-# commands call.
+# The names the drawing commands call from the numpy-backed layers, by the
+# module that holds them. A command imports only the layers it runs, when it
+# first runs, so the closed-form commands load no numpy and `simulate` loads
+# no statistics layer. They are bound as attributes of this module and looked
+# up at call time, so whoever replaces one here (a tracer, a test) replaces
+# what the commands call.
 _DRAWING = {
-    "diagnostics": ("_acf", "equivalence_mc_test", "individual_level_checks"),
-    "processes": ("apply_reporting", "simulate_inar1", "simulate_inar_inf",
+    "diagnostics": ("equivalence_mc_test", "individual_level_checks"),
+    "processes": ("_acf", "apply_reporting", "simulate_inar1", "simulate_inar_inf",
                   "simulate_individual_level", "simulation_route", "write_series_csv",
                   "write_trace_csv"),
     "sampling": ("RngStream",),
 }
 
 
-def _bind_drawing() -> None:
-    """Bind the drawing layers' names here, keeping any already bound."""
-    for module, names in _DRAWING.items():
-        mod = importlib.import_module(f"{__package__}.{module}")
-        for name in names:
+def _bind_drawing(*modules: str) -> None:
+    """Bind the names of the drawing layers ``modules`` here, keeping any already bound."""
+    for module in modules:
+        # __import__, not importlib.import_module: -X importtime logs only its loads.
+        mod = __import__(f"{__package__}.{module}", fromlist=_DRAWING[module])
+        for name in _DRAWING[module]:
             globals().setdefault(name, getattr(mod, name))
 
 
 def __getattr__(name: str):
-    if any(name in names for names in _DRAWING.values()):
-        _bind_drawing()
-        return globals()[name]
+    for module, names in _DRAWING.items():
+        if name in names:
+            _bind_drawing(module)
+            return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -202,7 +204,7 @@ def _draw_class(model: UnderreportedModel, args, draw: RngStream, thin: RngStrea
 
 
 def cmd_simulate(args) -> int:
-    _bind_drawing()
+    _bind_drawing("processes", "sampling")
     _pin_allocator()
     model, reporting, _ = load_model_file(args.spec)
     stream = RngStream(args.seed)
@@ -290,7 +292,7 @@ def cmd_curve(args) -> int:
 
 
 def cmd_check(args) -> int:
-    _bind_drawing()
+    _bind_drawing("diagnostics", "sampling")
     _pin_allocator()
     m1, rep1, _ = load_model_file(args.spec_1)
     m2, rep2, _ = load_model_file(args.spec_2)
@@ -302,7 +304,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_appendix(args) -> int:
-    _bind_drawing()
+    _bind_drawing("diagnostics", "processes", "sampling")
     _pin_allocator()
     model, reporting, kind = load_model_file(args.spec)
     if kind != "inar1":

@@ -24,6 +24,7 @@ from .processes import (
     Inar1Spec,
     PopulationTrace,
     ReportingSpec,
+    _acf,
     _require_geom_block_size,
     _require_steps,
     apply_reporting,
@@ -42,18 +43,6 @@ def _batches(values: np.ndarray) -> np.ndarray:
     dropped. :func:`equivalence_mc_test` admits at least 10000 values, so each
     row holds at least 200."""
     return values[: values.size - values.size % BATCH_COUNT].reshape(BATCH_COUNT, -1)
-
-
-def _acf(values: np.ndarray, max_lag: int) -> tuple[float, ...]:
-    # einsum, not `@`: BLAS runs a long dot product on worker threads, whose
-    # wake-up time is erratic on a small host. einsum sums the products in
-    # one pass on this thread, with no temporary array.
-    centered = values - values.mean()
-    denom = float(np.einsum("i,i->", centered, centered))
-    return tuple(
-        float(np.einsum("i,i->", centered[:-k], centered[k:])) / denom
-        for k in range(1, max_lag + 1)
-    )
 
 
 def theoretical_observed_moments(

@@ -10,6 +10,7 @@ reproduce the same laws.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 
@@ -44,6 +45,18 @@ class CountSeries:
 
     def __len__(self) -> int:
         return int(self.values.size)
+
+
+def _acf(values: np.ndarray, max_lag: int) -> tuple[float, ...]:
+    # einsum, not `@`: BLAS runs a long dot product on worker threads, whose
+    # wake-up time is erratic on a small host. einsum sums the products in
+    # one pass on this thread, with no temporary array.
+    centered = values - values.mean()
+    denom = float(np.einsum("i,i->", centered, centered))
+    return tuple(
+        float(np.einsum("i,i->", centered[:-k], centered[k:])) / denom
+        for k in range(1, max_lag + 1)
+    )
 
 
 # Rows rendered at once by _csv_rows; bounds its working arrays.
@@ -737,8 +750,13 @@ class PopulationTrace:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
+        try:
+            object.__setattr__(self, "length", operator.index(self.length))
+        except TypeError as exc:
+            raise ParameterError(f"length must be an integer, got {self.length!r}") from exc
+        # Copies, so the caller's columns stay writeable.
         for name in ("births", "deaths", "obs_times", "obs_owner"):
-            freeze(name, getattr(self, name))
+            freeze(name, np.array(getattr(self, name), dtype=np.int64))
         births, deaths, t_len = self.births, self.deaths, self.length
         owner, times = self.obs_owner, self.obs_times
         grouped = owner.size == 0 or (

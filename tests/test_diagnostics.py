@@ -30,7 +30,6 @@ from inarq.diagnostics import (
     BATCH_COUNT,
     MAX_LAG,
     MAX_ORACLE_STATES,
-    _acf,
     _batch_rows,
     _chi2_sf,
     _oracle_truncation,
@@ -43,7 +42,7 @@ from inarq.diagnostics import (
     total_variation,
 )
 from inarq.equivalence import canonicalize
-from inarq.processes import _MAX_STEPS
+from inarq.processes import _MAX_STEPS, _acf
 
 LAM, ALPHA, Q = 1.62, 0.52, 0.33
 EXAMPLE = UnderreportedModel.from_inar1(Inar1Spec(LAM, ALPHA), Q)

@@ -1,15 +1,18 @@
-"""The import graph: the closed-form layer stands without numpy.
+"""The import graph: each command loads only the layers it runs.
 
 ``import inarq``, ``import inarq.cli`` and the commands that only move inside
 an equivalence class in closed form (transform, expand, curve) load neither
-numpy nor the layers built on it; the package's public names resolve on
-first access to their defining modules' objects. Each check runs in a fresh
-interpreter, so no earlier import in the test process hides a load.
+numpy nor the layers built on it, and ``simulate`` loads no statistics layer;
+the package's public names resolve on first access to their defining modules'
+objects. Each check runs in a fresh interpreter, so no earlier import in the
+test process hides a load.
 """
 
 import json
 import subprocess
 import sys
+
+import pytest
 
 NUMPY_LAYERS = ("numpy", "inarq.processes", "inarq.diagnostics", "inarq.sampling")
 
@@ -89,3 +92,35 @@ print(json.dumps(raised))
 
 def test_unknown_names_raise_attribute_error():
     assert run_child(_UNKNOWN) == ["inarq", "inarq.cli"]
+
+
+# One drawing command run, or one drawing name read, in inarq.cli; then the
+# numpy-backed modules loaded.
+_DRAWING = """
+import contextlib, io, json, sys
+import inarq.cli
+layers, step = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+if len(step) == 1:
+    getattr(inarq.cli, step[0])
+else:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert inarq.cli.main(step) in (0, 1), step
+print(json.dumps(sorted(m for m in layers if m in sys.modules)))
+"""
+
+
+@pytest.mark.parametrize("step, statistics", [
+    (["simulate", "SPEC", "--t", "200", "--out", "OUT"], False),
+    (["check", "SPEC", "SPEC", "--t", "10000", "--reps", "1"], True),
+    (["appendix", "SPEC", "--t", "200", "--out", "OUT"], True),
+    (["simulate_inar1"], False),
+    (["equivalence_mc_test"], True),
+], ids=["simulate", "check", "appendix", "getattr_simulate_inar1", "getattr_equivalence_mc_test"])
+def test_drawing_commands_load_only_their_layers(tmp_path, step, statistics):
+    spec = tmp_path / "model.json"
+    spec.write_text(json.dumps(MODEL), encoding="utf-8")
+    paths = {"SPEC": str(spec), "OUT": str(tmp_path / "out.csv")}
+    loaded = run_child(_DRAWING, json.dumps(NUMPY_LAYERS),
+                       json.dumps([paths.get(arg, arg) for arg in step]))
+    assert "numpy" in loaded
+    assert ("inarq.diagnostics" in loaded) == statistics

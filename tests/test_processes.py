@@ -1328,6 +1328,21 @@ class TestPopulationTraceLifetimes:
         with pytest.raises(ParameterError, match=match):
             self.make(births, deaths, obs_times, obs_owner)
 
+    @pytest.mark.parametrize("length", [2.5, "4"])
+    def test_non_integer_length_rejected(self, length):
+        with pytest.raises(ParameterError, match="length must be an integer"):
+            self.make([], [], [], [], length=length)
+
+    def test_numpy_columns_copied_and_length_taken(self):
+        columns = [np.array(c, dtype=np.int64)
+                   for c in ([0, 1, 2], [2, 6, 3], [0, 1, 1, 3], [0, 0, 1, 1])]
+        trace = self.make(*columns, length=np.int64(4))
+        assert len(trace) == trace.length == 4 and type(trace.length) is int
+        for name, column in zip(("births", "deaths", "obs_times", "obs_owner"), columns):
+            assert column.flags.writeable, name
+            assert not getattr(trace, name).flags.writeable, name
+            assert getattr(trace, name).tolist() == column.tolist(), name
+
     def test_length_below_one_step_rejected(self):
         with pytest.raises(ParameterError, match="every birth must lie in"):
             self.make([], [], [], [], length=0)
