@@ -16,7 +16,7 @@ from typing import NamedTuple
 from .errors import AdmissibleRangeError, DegenerateClassError, ParameterError
 from .specs import GeomInarSpec, Inar1Spec
 
-# Rounding guard for boundary arithmetic: values this close to 0 are clamped.
+# Rounding guard: a target this far below the admissible interval still maps to its lower end.
 _BOUNDARY_EPS = 1e-12
 
 # Most rows expand_lags or equivalence_curve produces; a request for more is rejected.
@@ -75,7 +75,7 @@ def absorb_reporting(inar1: Inar1Spec, q: float) -> GeomInarSpec:
     """Fold thinning with probability q into the lag structure.
 
     The thinned first-order process q ∘ X is distributed exactly like a fully
-    observed geometric-lag process with
+    observed geometric-lag process: :func:`shift_reporting` to q = 1 gives
 
         lambda' = lambda * q / (1 - alpha * (1 - q))
         beta'   = alpha * q
@@ -83,47 +83,29 @@ def absorb_reporting(inar1: Inar1Spec, q: float) -> GeomInarSpec:
 
     so underreporting and geometric lag decay are two descriptions of one law.
     """
-    if not 0.0 < q <= 1.0:
-        raise ParameterError(f"reporting probability must lie in (0, 1], got {q}")
-    lam = inar1.lambda_ * q / (1.0 - inar1.alpha * (1.0 - q))
-    return GeomInarSpec(lambda_=lam, beta=inar1.alpha * q, gamma=inar1.alpha * (1.0 - q))
+    return shift_reporting(UnderreportedModel.from_inar1(inar1, q), 1.0).latent
 
 
 def split_reporting(spec: GeomInarSpec) -> CanonicalForm:
     """Rewrite a fully observed geometric-lag process as a thinned first-order one.
 
-    Inverse of :func:`absorb_reporting`:
-
-        lambda_star = lambda * (beta + gamma) * (1 - gamma) / beta
-        alpha_star  = beta + gamma
-        q_star      = beta / (beta + gamma)
-
-    A spec with gamma = 0 is already first order and maps to itself with
-    q_star = 1. With beta = 0 but gamma > 0 no first-order representative
-    exists and a DegenerateClassError is raised.
+    Inverse of :func:`absorb_reporting`: the :func:`canonicalize` of ``spec``
+    observed with q = 1.
     """
-    if spec.gamma == 0.0:
-        return CanonicalForm(spec.lambda_, spec.beta, 1.0)
-    if spec.beta == 0.0:
-        raise DegenerateClassError(
-            "no first-order representative: all lag weights vanish (beta = 0) "
-            "while the decay factor is positive"
-        )
-    alpha = spec.beta + spec.gamma
-    lam = spec.lambda_ * alpha * (1.0 - spec.gamma) / spec.beta
-    return CanonicalForm(lam, alpha, spec.beta / alpha)
+    return canonicalize(UnderreportedModel(spec, 1.0))
+
+
+def _q_star(model: UnderreportedModel) -> float:
+    """q * beta / (beta + gamma): the class's lowest reporting probability."""
+    beta, gamma = model.latent.beta, model.latent.gamma
+    return model.q if gamma == 0.0 else model.q * (beta / (beta + gamma))
 
 
 def admissible_reporting_interval(model: UnderreportedModel) -> tuple[float, float]:
     """Closed interval of reporting probabilities reachable by :func:`shift_reporting`."""
-    beta, gamma = model.latent.beta, model.latent.gamma
-    if beta + gamma == 0.0:
+    if model.latent.beta == 0.0:
         return (0.0, 1.0)  # i.i.d. class: any positive q works
-    return (model.q * beta / (beta + gamma), 1.0)
-
-
-def _clamp_boundary(value: float) -> float:
-    return 0.0 if -_BOUNDARY_EPS < value < 0.0 else value
+    return (_q_star(model), 1.0)
 
 
 def shift_reporting(model: UnderreportedModel, q_target: float) -> UnderreportedModel:
@@ -137,8 +119,9 @@ def shift_reporting(model: UnderreportedModel, q_target: float) -> Underreported
         beta'   = beta * r
         gamma'  = gamma + (1 - r) * beta
 
-    The interval's lower endpoint lands on the canonical first-order member
-    (gamma' = 0); q_target = 1 gives the fully observed representation. A
+    A target at or just below the interval's lower end q_star returns the
+    canonical first-order member, :func:`canonicalize`'s form with gamma' = 0
+    exactly; q_target = 1 gives the fully observed representation. A
     non-finite q_target is a ParameterError, not a point outside the interval.
     """
     if not math.isfinite(q_target):
@@ -146,10 +129,13 @@ def shift_reporting(model: UnderreportedModel, q_target: float) -> Underreported
     lower, upper = admissible_reporting_interval(model)
     if not lower - _BOUNDARY_EPS <= q_target <= upper or q_target <= 0.0:
         raise AdmissibleRangeError(q_target, lower, upper)
+    if q_target <= lower:
+        c = canonicalize(model)
+        return UnderreportedModel(GeomInarSpec(c.lambda_star, c.alpha_star, 0.0), c.q_star)
     lam, beta, gamma = model.latent.lambda_, model.latent.beta, model.latent.gamma
     r = model.q / q_target
     new_beta = beta * r
-    new_gamma = _clamp_boundary(gamma + (1.0 - r) * beta)
+    new_gamma = max(0.0, gamma + (1.0 - r) * beta)
     new_lam = lam * (1.0 - gamma) * r / (1.0 - gamma - (1.0 - r) * beta)
     return UnderreportedModel(
         latent=GeomInarSpec(new_lam, new_beta, new_gamma), q=float(q_target)
@@ -159,18 +145,18 @@ def shift_reporting(model: UnderreportedModel, q_target: float) -> Underreported
 def canonicalize(model: UnderreportedModel) -> CanonicalForm:
     """Map a model to its class representative: the thinned first-order member.
 
-    Composition of :func:`split_reporting` with the observed thinning:
-    alpha_star = beta + gamma, q_star = q * beta / (beta + gamma),
-    lambda_star = lambda * (beta + gamma) * (1 - gamma) / beta. Models are
-    equivalent exactly when their canonical forms agree.
+    alpha_star = beta + gamma, q_star = q * beta / (beta + gamma) and
+    lambda_star = lambda * (beta + gamma) * (1 - gamma) / beta; a first-order
+    model (gamma = 0) is its own representative. With beta = 0 the stationary
+    mean is lambda whatever gamma, so the class is i.i.d. Poisson and its
+    representative the fully observed Poisson with the observed mean. Models
+    are equivalent exactly when their canonical forms agree.
     """
-    beta, gamma = model.latent.beta, model.latent.gamma
-    if beta == 0.0 and gamma == 0.0:
-        # i.i.d. Poisson class; its unique member with first-order structure
-        # is the fully observed Poisson with the observed mean.
-        return CanonicalForm(model.q * model.latent.lambda_, 0.0, 1.0)
-    inner = split_reporting(model.latent)
-    return CanonicalForm(inner.lambda_star, inner.alpha_star, model.q * inner.q_star)
+    lam, beta, gamma = model.latent.lambda_, model.latent.beta, model.latent.gamma
+    if beta == 0.0:
+        return CanonicalForm(model.q * lam, 0.0, 1.0)
+    lam_star = lam if gamma == 0.0 else lam * (beta + gamma) * (1.0 - gamma) / beta
+    return CanonicalForm(lam_star, beta + gamma, _q_star(model))
 
 
 def expand_lags(spec: GeomInarSpec, cutoff: float) -> list[tuple[int, float]]:
@@ -215,8 +201,9 @@ def equivalence_curve(model: UnderreportedModel, grid_size: int) -> list[CurvePo
 
     Evaluates :func:`shift_reporting` on ``grid_size`` points (2 to
     ``_MAX_ROWS``) spanning the admissible interval inclusively; the first row
-    reproduces the canonical lower endpoint and the last the fully observed
-    representation.
+    is :func:`canonicalize`'s form exactly and the last the fully observed
+    representation. The i.i.d. class (beta = 0) has no lower endpoint and
+    raises DegenerateClassError.
     """
     if not 2 <= grid_size <= _MAX_ROWS:
         raise ParameterError(f"grid size must lie in [2, {_MAX_ROWS}], got {grid_size}")

@@ -14,7 +14,7 @@ class UnsupportedMechanismError(ParameterError):
 
 
 class DegenerateClassError(InarError, ValueError):
-    """The model's equivalence class has no first-order representative."""
+    """The i.i.d. class has no lower endpoint to trace an equivalence curve from."""
 
 
 class AdmissibleRangeError(InarError, ValueError):

@@ -198,6 +198,12 @@ class TestTransform:
         assert out == ""
         assert err.startswith("error: target reporting probability must be finite"), err
 
+    def test_iid_class_with_decay_canonicalizes(self, tmp_path):
+        spec = write_spec(tmp_path, {"lambda": 2.0, "beta": 0.0, "gamma": 0.5})
+        res = run_cli("transform", spec, "--to", "canonical")
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout) == {"lambda": 2.0, "alpha": 0.0, "q": 1.0}
+
     def test_round_trip_through_canonical(self, tmp_path):
         spec = write_spec(tmp_path, EXAMPLE_SPEC)
         inf_doc = run_cli("transform", spec, "--to", "inf").stdout
@@ -285,6 +291,21 @@ class TestCurve:
         assert last[0] == 1.0
         assert [round(v, 4) for v in last[1:]] == [0.8204, 0.1716, 0.3484]
 
+    def test_first_row_is_exactly_canonical(self, tmp_path):
+        # the shift formula, evaluated at the lower end, rounds gamma to 1.8e-17 here
+        doc = {"latent": {"kind": "inar1", "lambda": 18.49, "alpha": 0.16},
+               "reporting": {"q": 0.81}}
+        out = tmp_path / "curve.csv"
+        res = run_cli("curve", write_spec(tmp_path, doc), "--grid", "68", "--out", str(out))
+        assert res.returncode == 0, res.stderr
+        assert out.read_text().splitlines()[1] == "0.81,18.49,0.16,0"
+
+    def test_iid_class_rejected(self, tmp_path):
+        spec = write_spec(tmp_path, {"lambda": 2.0, "beta": 0.0, "gamma": 0.5})
+        res = run_cli("curve", spec, "--grid", "10", "--out", str(tmp_path / "c.csv"))
+        assert res.returncode == 2
+        assert res.stderr.startswith("error:") and "i.i.d. class" in res.stderr
+
     def test_grid_too_small_rejected(self, tmp_path):
         spec = write_spec(tmp_path, EXAMPLE_SPEC)
         res = run_cli("curve", spec, "--grid", "1", "--out", str(tmp_path / "c.csv"))
@@ -306,6 +327,13 @@ class TestCheck:
         assert res.returncode == 0, res.stdout
         doc = json.loads(res.stdout)
         assert doc["verdict"] == "pass"
+
+    def test_iid_class_with_decay_passes(self, tmp_path):
+        a = write_spec(tmp_path, {"lambda": 2.0, "beta": 0.0, "gamma": 0.0}, "a.json")
+        b = write_spec(tmp_path, {"lambda": 2.0, "beta": 0.0, "gamma": 0.5}, "b.json")
+        res = run_cli("check", a, b, "--t", "10000", "--reps", "1", "--seed", "5")
+        assert res.returncode == 0, res.stdout + res.stderr
+        assert json.loads(res.stdout)["verdict"] == "pass"
 
     def test_perturbed_rate_fails(self, tmp_path):
         a = write_spec(tmp_path, EXAMPLE_SPEC, "a.json")
@@ -660,8 +688,6 @@ def observed_pair_law(doc):
     omega = doc.get("reporting", {}).get("omega", 1.0)
     if omega < 1.0:
         model = UnderreportedModel(model.latent, 1.0)
-    if model.latent.beta == 0.0:  # i.i.d. Poisson with the observed mean
-        model = UnderreportedModel(GeomInarSpec(model.observed_mean, 0.0, 0.0), 1.0)
     joint = joint_pmf_oracle(model)
     if omega == 1.0:
         return joint

@@ -83,6 +83,12 @@ class TestAbsorbReporting:
         image = absorb_reporting(Inar1Spec(2.0, 0.0), 0.5)
         assert (image.lambda_, image.beta, image.gamma) == (1.0, 0.0, 0.0)
 
+    @given(lam=lambdas, alpha=alphas, q=probs)
+    def test_matches_the_closed_form_bit_for_bit(self, lam, alpha, q):
+        image = absorb_reporting(Inar1Spec(lam, alpha), q)
+        assert image.lambda_ == lam * q / (1 - alpha * (1 - q))
+        assert (image.beta, image.gamma) == (alpha * q, alpha * (1 - q))
+
     @pytest.mark.parametrize("q", [0.0, -0.1, 1.2])
     def test_reporting_probability_domain(self, q):
         with pytest.raises(ParameterError):
@@ -100,9 +106,10 @@ class TestSplitReporting:
         c = split_reporting(GeomInarSpec(1.7, 0.4, 0.0))
         assert (c.lambda_star, c.alpha_star, c.q_star) == (1.7, 0.4, 1.0)
 
-    def test_degenerate_class_rejected(self):
-        with pytest.raises(DegenerateClassError):
-            split_reporting(GeomInarSpec(1.0, 0.0, 0.5))
+    def test_iid_class_with_decay_is_iid_poisson(self):
+        # beta = 0 puts no weight on any lag, whatever gamma.
+        c = split_reporting(GeomInarSpec(1.0, 0.0, 0.5))
+        assert (c.lambda_star, c.alpha_star, c.q_star) == (1.0, 0.0, 1.0)
 
     @given(lam=lambdas, alpha=st.floats(0.01, 0.95), q=probs)
     def test_round_trip_recovers_input(self, lam, alpha, q):
@@ -156,6 +163,15 @@ class TestShiftReporting:
         with pytest.raises(AdmissibleRangeError):
             shift_reporting(EXAMPLE, 1.1)
 
+    def test_lower_end_is_the_canonical_form(self):
+        out = shift_reporting(EXAMPLE, Q - 1e-13)
+        assert out == UnderreportedModel(GeomInarSpec(LAM, ALPHA, 0.0), Q)
+
+    def test_subnormal_weight_reaches_full_observation(self):
+        # canonicalize's lambda_star overflows here, but the image does not.
+        out = shift_reporting(UnderreportedModel(GeomInarSpec(20.0, 1e-310, 0.5), 0.5), 1.0)
+        assert out == UnderreportedModel(GeomInarSpec(10.0, 5e-311, 0.5), 1.0)
+
     @given(pair=models_with_target())
     def test_image_satisfies_lag_spec_invariants(self, pair):
         model, q_target = pair
@@ -198,9 +214,9 @@ class TestCanonicalize:
         assert round(c.alpha_star, 2) == 0.52
         assert round(c.q_star, 2) == 0.33
 
-    def test_degenerate_class_rejected(self):
-        with pytest.raises(DegenerateClassError):
-            canonicalize(UnderreportedModel(GeomInarSpec(1.0, 0.0, 0.4), 0.5))
+    def test_iid_class_with_decay_is_iid_poisson(self):
+        c = canonicalize(UnderreportedModel(GeomInarSpec(1.0, 0.0, 0.4), 0.5))
+        assert (c.lambda_star, c.alpha_star, c.q_star) == (0.5, 0.0, 1.0)
 
     def test_iid_class_gets_unique_representative(self):
         a = canonicalize(UnderreportedModel(GeomInarSpec(2.0, 0.0, 0.0), 0.5))
@@ -302,9 +318,20 @@ class TestEquivalenceCurve:
             assert b.gamma_y > a.gamma_y
             assert b.lambda_y < a.lambda_y
 
+    @given(model=models(), n=st.integers(2, 100))
+    def test_first_row_is_the_canonical_form(self, model, n):
+        first, c = equivalence_curve(model, n)[0], canonicalize(model)
+        assert (first.q_y, first.lambda_y, first.beta_y) == (c.q_star, c.lambda_star, c.alpha_star)
+        assert first.gamma_y == 0.0
+
     def test_grid_too_small_rejected(self):
         with pytest.raises(ParameterError):
             equivalence_curve(EXAMPLE, 1)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    def test_iid_class_has_no_lower_end(self, gamma):
+        with pytest.raises(DegenerateClassError):
+            equivalence_curve(UnderreportedModel(GeomInarSpec(2.0, 0.0, gamma), 0.5), 10)
 
     def test_csv_format(self, tmp_path):
         path = tmp_path / "curve.csv"
@@ -351,8 +378,8 @@ class TestSimulationRoute:
         assert spec == Inar1Spec(3.0, beta) and q == 1.0
 
     def test_iid_class_with_decay_needs_no_first_order_form(self):
-        # beta = 0 with gamma > 0 has no canonical form (DegenerateClassError),
-        # but it is i.i.d. Poisson with the observed mean.
+        # beta = 0 with gamma > 0 is i.i.d. Poisson with the observed mean:
+        # the image is drawn by interval counting, with no gap draw.
         spec, q = simulation_route(UnderreportedModel(GeomInarSpec(3.0, 0.0, 0.5), 0.4))
         assert isinstance(spec, Inar1Spec) and spec.alpha == 0.0 and q == 1.0
         assert close(spec.lambda_, 1.2)

@@ -1,4 +1,5 @@
 import collections
+import itertools
 import math
 import subprocess
 import sys
@@ -559,9 +560,11 @@ class TestChainKernel:
         (counted, counted_stats), (laid_out, laid_out_stats) = runs
         assert counted.tobytes() == laid_out.tobytes()
         assert counted_stats == laid_out_stats
-        for out, stats in runs:
-            assert stats["appearances"] == int(out.sum()) + stats["beyond"]
-        assert counted_stats["beyond"] > 0
+        # A chain is present at steps [arrival, arrival + length); count the
+        # steps of each at or past the horizon.
+        beyond = sum(int(np.maximum(0, arrivals + lengths - np.maximum(arrivals, steps)).sum())
+                     for _, arrivals, lengths, _ in as_chains(blocks))
+        assert counted_stats["beyond"] == beyond > 0
 
     @pytest.mark.parametrize("lam, steps, dense", [
         (20.0, 50_000, False), (5e4, 5, False), (20.0, 50_000, True), (5e4, 5, True),
@@ -625,14 +628,25 @@ class TestChainKernel:
         spec = GeomInarSpec(5.0, 0.3, 0.6)
         rng = RngStream(91)
 
-        def gaps(k):
-            return geometric_draws(1.0 - spec.gamma, k, rng)
+        drawn = []
 
-        out, stats = _count_chains(_chain_blocks(spec.lambda_, spec.total_weight, 20_000, rng),
-                                   gaps, 20_000)
-        assert stats["appearances"] == int(out.sum()) + stats["beyond"]
+        def gaps(k):
+            drawn.append(geometric_draws(1.0 - spec.gamma, k, rng))
+            return drawn[-1]
+
+        blocks = list(_chain_blocks(spec.lambda_, spec.total_weight, 20_000, rng))
+        _, stats = _count_chains(blocks, gaps, 20_000)
+        # Rebuild each chain's times from the gaps it was given, in chain
+        # order within a block, and count those at or past the horizon.
+        drawn_gaps = iter(np.concatenate(drawn).tolist())
+        beyond = 0
+        for _, arrivals, lengths, _ in blocks:
+            for arrival, later in zip(arrivals.tolist(), (lengths - 1).tolist()):
+                times = itertools.accumulate(itertools.islice(drawn_gaps, later), initial=arrival)
+                beyond += sum(t >= 20_000 for t in times)
+        assert next(drawn_gaps, None) is None
+        assert stats["beyond"] == beyond > 0
         assert stats["appearances"] > stats["chains"] > 0
-        assert stats["beyond"] > 0
 
     @pytest.mark.parametrize(
         "name, simulate, weights, mean, seeds",
