@@ -98,34 +98,24 @@ def _poisson_quantile(mu: float, tail: float) -> int:
     return int(np.argmax(beyond <= tail))
 
 
-# The oracle's admission rule: the latent cut of the class's canonical form, 15
-# above the point leaving 1e-13 of Poisson(canonical latent mean), holds at most
-# this many states, which admits canonical latent means below about 1700. The
-# observed cut lies below the latent one, so the oracle's table is at most this
-# many squared float64s too (32 MiB at the bound).
+# The pair-law oracle's table holds (cap + 1)**2 float64s, cap 10 above the
+# point leaving 1e-12 of Poisson(observed mean). A side of at most this many
+# states (a table of at most 32 MiB) admits observed means up to about 1736.
 MAX_ORACLE_STATES = 2048
 
 
-def _require_oracle_states(states: float) -> None:
-    if states > MAX_ORACLE_STATES:
+def _oracle_support_cap(mean: float, whose: str = "the model's") -> int:
+    """The oracle's largest tabulated value for the observed mean ``mean``, or a
+    ParameterError naming ``whose`` mean when the table side would pass
+    ``MAX_ORACLE_STATES``. The cap lies above the mean, so a mean at or past
+    the bound is rejected before the O(mean) quantile search."""
+    cap = _poisson_quantile(mean, 1e-12) + 10 if mean < MAX_ORACLE_STATES else math.inf
+    if cap + 1 > MAX_ORACLE_STATES:
         raise ParameterError(
-            f"the canonical latent mean puts the pair-law oracle's latent cut at about "
-            f"{states:.6g} states, more than the bound {MAX_ORACLE_STATES}; lower the latent mean"
+            f"{whose} observed mean {mean:.6g} puts the pair-law oracle's table past "
+            f"{MAX_ORACLE_STATES} states a side; lower the observed mean"
         )
-
-
-def _oracle_truncation(mu: float) -> int:
-    """The oracle's latent cut for the canonical latent mean ``mu``: 15 above
-    the point leaving 1e-13 of Poisson(mu).
-
-    Raises ParameterError when that cut would hold more than
-    ``MAX_ORACLE_STATES`` states. The cut lies above the mean, so a mean at
-    or past the bound is rejected before the O(mu) quantile search.
-    """
-    _require_oracle_states(mu + 1.0)
-    truncation = _poisson_quantile(mu, 1e-13) + 15
-    _require_oracle_states(truncation + 1)
-    return truncation
+    return cap
 
 
 def joint_pmf_oracle(model: UnderreportedModel) -> np.ndarray:
@@ -144,16 +134,14 @@ def joint_pmf_oracle(model: UnderreportedModel) -> np.ndarray:
 
     The law depends on (m, r) alone, so every member of a class gives the
     same table. Observed values are kept up to ``support_cap``, 10 above the
-    point leaving 1e-12 of Poisson(m). Raises ParameterError if the class's
-    canonical latent mean fails :func:`_oracle_truncation`, and
-    TruncationError if the retained joint mass (the table's sum) is not above
-    1 - 1e-8, which this cut never leaves.
+    point leaving 1e-12 of Poisson(m). Raises ParameterError if that table
+    would be more than ``MAX_ORACLE_STATES`` a side
+    (:func:`_oracle_support_cap`), and TruncationError if the retained joint
+    mass (the table's sum) is not above 1 - 1e-8, which this cut never leaves.
     """
-    c = canonicalize(model)
-    _oracle_truncation(c.lambda_star / (1.0 - c.alpha_star))
     m, _, acf = theoretical_observed_moments(model)
     r = acf[0]
-    support_cap = _poisson_quantile(m, 1e-12) + 10
+    support_cap = _oracle_support_cap(m)
     # single[a, k] = Pois(a - k; m (1 - r)), zero above the diagonal.
     xs = np.arange(support_cap + 1)
     single = np.tril(_poisson_pmf(m * (1.0 - r), support_cap)[np.abs(xs[:, None] - xs)])
@@ -320,11 +308,13 @@ def equivalence_mc_test(
         raise ParameterError(f"t_len must be at least 10000, got {t_len}")
     if reps < 1:
         raise ParameterError(f"reps must be at least 1, got {reps}")
-    # Bound the simulations' steps and working arrays, then build the oracle
-    # (which applies its own admission rule), before any draw.
+    # Before any draw, bound the simulations' steps and working arrays, and
+    # both specs' observed means by the oracle's table: the second spec's
+    # values are binned and counted too. Then build the first spec's oracle.
     _require_steps(reps * t_len, "reps times series length")
-    for model in (m1, m2):
+    for whose, model in (("the first spec's", m1), ("the second spec's", m2)):
         _require_geom_block_size(model.latent)
+        _oracle_support_cap(theoretical_observed_moments(model)[0], whose)
     c1, c2 = canonicalize(m1), canonicalize(m2)
     oracle = joint_pmf_oracle(m1)
     labels, target = _pair_bins(oracle, t_len // BATCH_COUNT - 1)

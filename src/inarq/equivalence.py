@@ -98,7 +98,10 @@ def split_reporting(spec: GeomInarSpec) -> CanonicalForm:
 def _q_star(model: UnderreportedModel) -> float:
     """q * beta / (beta + gamma): the class's lowest reporting probability."""
     beta, gamma = model.latent.beta, model.latent.gamma
-    return model.q if gamma == 0.0 else model.q * (beta / (beta + gamma))
+    q_star = model.q if gamma == 0.0 else model.q * (beta / (beta + gamma))
+    if q_star == 0.0 < beta:  # an underflow, not the i.i.d. class
+        raise ParameterError(f"q * beta / (beta + gamma) underflows to 0 for beta = {beta}")
+    return q_star
 
 
 def admissible_reporting_interval(model: UnderreportedModel) -> tuple[float, float]:

@@ -487,16 +487,29 @@ class TestWorkBound:
         assert not (tmp_path / "x.csv").exists()
 
     def test_oversized_oracle_is_input_error(self, tmp_path):
-        # This spec passes the first-block bound, but its class's canonical
-        # latent mean puts the oracle's latent cut at 11909 states, past the
-        # admission bound; check rejects it before simulating.
-        spec = write_spec(tmp_path, {"latent": dict(SLOW_DECAY, **{"lambda": 1.0})})
+        # Observed mean 2000: the pair-law oracle's table would pass 2048
+        # states a side, so check rejects it before simulating.
+        spec = write_spec(tmp_path, {"latent": {"kind": "inar1", "lambda": 1000.0, "alpha": 0.5}})
         res = subprocess.run([sys.executable, "-m", "inarq", "check", spec, spec,
                               "--t", "10000", "--reps", "1"],
                              capture_output=True, text=True, preexec_fn=limit_memory)
         assert res.returncode == 2, res.stderr[-300:]
         assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
-        assert "oracle" in res.stderr and "2048" in res.stderr
+        assert "observed mean 2000" in res.stderr and "2048" in res.stderr
+        assert res.stdout == ""
+
+    def test_oversized_second_spec_is_input_error(self, tmp_path):
+        # Only the first spec's class builds the oracle, but the second
+        # spec's observed mean is held to the same table size before any draw.
+        spec = write_spec(tmp_path, EXAMPLE_SPEC)
+        huge = write_spec(tmp_path, {"latent": {"kind": "inar1", "lambda": 1e9, "alpha": 0.5}},
+                          "huge.json")
+        res = subprocess.run([sys.executable, "-m", "inarq", "check", spec, huge,
+                              "--t", "10000", "--reps", "1"],
+                             capture_output=True, text=True, preexec_fn=limit_memory)
+        assert res.returncode == 2, res.stderr[-300:]
+        assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
+        assert "the second spec's observed mean 2e+09" in res.stderr
         assert res.stdout == ""
 
     def test_admissible_slow_decay_runs(self, tmp_path):
@@ -505,6 +518,13 @@ class TestWorkBound:
                               "--out", str(tmp_path / "x.csv")],
                              capture_output=True, text=True, preexec_fn=limit_memory)
         assert res.returncode == 0, res.stderr[-300:]
+        # Its canonical latent mean is 11110, but check bounds the oracle's
+        # table by the observed mean, 10, so it draws and gives a verdict.
+        res = subprocess.run([sys.executable, "-m", "inarq", "check", spec, spec,
+                              "--t", "10000", "--reps", "1"],
+                             capture_output=True, text=True, preexec_fn=limit_memory)
+        assert res.returncode in (0, 1), res.stderr[-300:]
+        assert json.loads(res.stdout)["verdict"] in ("pass", "fail")
 
 
 class TestParser:

@@ -32,7 +32,7 @@ from inarq.diagnostics import (
     MAX_ORACLE_STATES,
     _batch_rows,
     _chi2_sf,
-    _oracle_truncation,
+    _oracle_support_cap,
     _p_value,
     _pair_bins,
     _pearson,
@@ -55,7 +55,8 @@ def reject_constant(name):
 
 
 def scipy_joint_pmf(lam, alpha, q):
-    """The enumeration oracle's table and default cut-offs from scipy.stats pmfs."""
+    """The pair law by enumerating the latent chain with scipy.stats pmfs, cut
+    far past the latent mean, and the observed cut of the closed-form table."""
     mu = lam / (1.0 - alpha)
     truncation = int(sps.poisson.ppf(1.0 - 1e-13, mu)) + 15
     support_cap = min(truncation, int(sps.poisson.ppf(1.0 - 1e-12, q * mu)) + 10)
@@ -67,7 +68,7 @@ def scipy_joint_pmf(lam, alpha, q):
     ])
     observe = sps.binom.pmf(np.arange(support_cap + 1)[None, :], xs[:, None], q)
     pi = sps.poisson.pmf(xs, mu)
-    return observe.T @ (pi[:, None] * (transition @ observe)), truncation, support_cap
+    return observe.T @ (pi[:, None] * (transition @ observe)), support_cap
 
 
 class TestEmpiricalMoments:
@@ -165,24 +166,33 @@ class TestJointPmfOracle:
             assert table.shape == joint.shape
             assert np.abs(table - joint).max() <= 1e-14
 
-    def test_table_size_is_bounded_before_enumerating(self):
-        # A slow-decay class: its canonical latent mean is 11110, so the latent
-        # cut is 11908, far past the admission bound of 2048 states.
-        slow = canonicalize(UnderreportedModel(GeomInarSpec(1.0, 0.0009, 0.999), 1.0))
-        mu = slow.lambda_star / (1.0 - slow.alpha_star)
-        assert _poisson_quantile(mu, 1e-13) + 15 == 11908
-        for mean in (mu, 1e18, MAX_ORACLE_STATES - 1.0):
-            with pytest.raises(ParameterError, match="oracle"):
-                _oracle_truncation(mean)
-        # Mean 2000 passes the first bound; its truncation, 2352, fails the second.
-        high = UnderreportedModel.from_inar1(Inar1Spec(2000.0, 0.0), 1.0)
-        assert _poisson_quantile(2000.0, 1e-13) + 15 == 2352
-        with pytest.raises(ParameterError, match="oracle"):
+    def test_table_size_is_bounded_before_enumerating(self, monkeypatch):
+        # The table side is the observed cut plus one, 10 above the point
+        # leaving 1e-12 of Poisson(m): 2048 states at m = 1736, past it at
+        # 1737, and 2334 at m = 2000.
+        assert _oracle_support_cap(1736.0) + 1 == MAX_ORACLE_STATES
+        assert _poisson_quantile(1737.0, 1e-12) + 11 > MAX_ORACLE_STATES
+        assert _poisson_quantile(2000.0, 1e-12) + 11 == 2334
+        for mean in (1737.0, 2000.0):
+            with pytest.raises(ParameterError, match=f"the second spec's observed mean {mean:g} "):
+                _oracle_support_cap(mean, "the second spec's")
+        high = UnderreportedModel.from_inar1(Inar1Spec(1000.0, 0.5), 1.0)
+        with pytest.raises(ParameterError, match="observed mean 2000 .*oracle"):
             joint_pmf_oracle(high)
-        # The truncation, up to the largest admitted mean.
-        for mean in (LAM / (1 - ALPHA), 300.0, 1_700.0):
-            truncation = _oracle_truncation(mean)
-            assert truncation == _poisson_quantile(mean, 1e-13) + 15 < MAX_ORACLE_STATES
+        # The lambda = 1 slow-decay class: its canonical latent mean, 11110,
+        # was past the old latent cut, but its observed mean is 10.
+        slow = UnderreportedModel(GeomInarSpec(1.0, 0.0009, 0.999), 1.0)
+        c = canonicalize(slow)
+        assert round(c.lambda_star / (1.0 - c.alpha_star)) == 11110
+        assert joint_pmf_oracle(slow).shape == (50, 50)
+        # A mean at or past the bound is rejected before the quantile search.
+        def no_search(mu, tail):
+            raise AssertionError("searched for the cut of a mean past the bound")
+
+        monkeypatch.setattr(diagnostics, "_poisson_quantile", no_search)
+        for mean in (float(MAX_ORACLE_STATES), 2e9, 1e18, math.inf):
+            with pytest.raises(ParameterError, match="oracle"):
+                _oracle_support_cap(mean)
 
     def test_truncation_too_small_rejected(self, monkeypatch):
         # Cut after observed value 2, the table keeps 0.814 of the joint mass.
@@ -202,9 +212,7 @@ class TestJointPmfOracle:
         (0.1, 0.5, 5e-324),  # observed mean underflows to 0
     ])
     def test_agrees_with_scipy_reference(self, lam, alpha, q):
-        table, truncation, support_cap = scipy_joint_pmf(lam, alpha, q)
-        mu = lam / (1.0 - alpha)
-        assert _poisson_quantile(mu, 1e-13) + 15 == truncation
+        table, support_cap = scipy_joint_pmf(lam, alpha, q)
         joint = joint_pmf_oracle(UnderreportedModel.from_inar1(Inar1Spec(lam, alpha), q))
         assert joint.shape == table.shape == (support_cap + 1, support_cap + 1)
         assert np.abs(joint - table).max() <= 1e-12
@@ -397,9 +405,11 @@ class TestEquivalenceMcTest:
             raise AssertionError("simulated before bounding the oracle")
 
         monkeypatch.setattr(diagnostics, "_observed_series", no_simulation)
-        slow = UnderreportedModel(GeomInarSpec(1.0, 0.0009, 0.999), 1.0)
-        with pytest.raises(ParameterError, match="oracle"):
-            equivalence_mc_test(slow, slow, 10_000, 1, RngStream(1))
+        # Observed mean 2000: either spec's table would pass the bound.
+        high = UnderreportedModel.from_inar1(Inar1Spec(1000.0, 0.5), 1.0)
+        for m1, m2, whose in ((high, EXAMPLE, "first"), (EXAMPLE, high, "second")):
+            with pytest.raises(ParameterError, match=f"the {whose} spec's observed mean 2000 "):
+                equivalence_mc_test(m1, m2, 10_000, 1, RngStream(1))
 
     @pytest.mark.parametrize("t_len, reps", [(10**11, 1), (10_000, 10**8)])
     def test_step_count_rejected_before_simulating(self, monkeypatch, t_len, reps):

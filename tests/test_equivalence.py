@@ -172,6 +172,16 @@ class TestShiftReporting:
         out = shift_reporting(UnderreportedModel(GeomInarSpec(20.0, 1e-310, 0.5), 0.5), 1.0)
         assert out == UnderreportedModel(GeomInarSpec(10.0, 5e-311, 0.5), 1.0)
 
+    def test_underflowing_lower_end_is_parameter_error(self):
+        # beta > 0, so the class is not i.i.d., but its lowest reporting
+        # probability q * beta / (beta + gamma) underflows to 0.
+        model = UnderreportedModel(GeomInarSpec(20.0, 5e-324, 0.9), 0.5)
+        calls = [admissible_reporting_interval, canonicalize,
+                 lambda m: equivalence_curve(m, 68), lambda m: shift_reporting(m, 1e-300)]
+        for call in calls:
+            with pytest.raises(ParameterError, match="underflows to 0"):
+                call(model)
+
     @given(pair=models_with_target())
     def test_image_satisfies_lag_spec_invariants(self, pair):
         model, q_target = pair
