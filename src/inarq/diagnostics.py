@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -175,43 +174,70 @@ def _p_value(z: float | None, df: float = math.inf) -> float | None:
     return math.erfc(abs(z) / math.sqrt(2.0))
 
 
-class StatComparison(NamedTuple):
+@dataclass(frozen=True)
+class Gate:
+    """One gate of a verdict. A scored gate (:func:`_scored`) has a p-value; an
+    exact gate has ``p_value`` None and sets ``passed`` itself. ``values``
+    holds what its JSON entry prints besides the fields."""
+
     name: str
-    value_1: float
-    value_2: float
     z: float | None
+    p_value: float | None
+    passed: bool
+    values: dict
+
+    def to_json_dict(self) -> dict:
+        return {"name": self.name, **self.values, "z": self.z, "p_value": self.p_value,
+                "passed": self.passed}
+
+
+def _scored(name: str, z: float | None, p_value: float | None, p_floor: float, **values) -> Gate:
+    """The gate of a p-value: it passes at p >= ``p_floor`` and fails where the
+    p-value is undefined (None)."""
+    return Gate(name, z, p_value, p_value is not None and p_value >= p_floor, values)
 
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    """Outcome of the algebraic-plus-statistical equivalence test; no gate
-    reads ``tv_marginal``, a descriptive distance."""
+    """Outcome of the algebraic-plus-statistical equivalence test. Its gates, in
+    order: ``canonical_form`` (exact), the seven statistics, then each pair cell's
+    gate per spec, ``pair_{a}_{b}_spec_{i}``. It passes when none fails; no
+    gate reads ``tv_marginal``, a descriptive distance."""
 
-    canonical_delta: dict[str, float]
-    stats: tuple[StatComparison, ...]
-    pair_cells: dict
+    canonical: Gate  # canonical_form; its values are the canonical deltas
+    stats: tuple[Gate, ...]
+    cells: tuple[Gate, ...]  # per pair cell, the first spec's gate and then the second's
+    bin_starts: list[int]
     tv_marginal: float
     p_floor: float
-    verdict: str
     seeds: dict[str, int]
     n: dict[str, int]
 
     @property
+    def canonical_delta(self) -> dict[str, float]:
+        return self.canonical.values
+
+    @property
+    def failed_gates(self) -> list[str]:
+        return [g.name for g in (self.canonical, *self.stats, *self.cells) if not g.passed]
+
+    @property
     def passed(self) -> bool:
-        return self.verdict == "pass"
+        return not self.failed_gates
 
     def to_json_dict(self) -> dict:
+        cells = [{**g1.values, "z_1": g1.z, "p_1": g1.p_value,
+                  **g2.values, "z_2": g2.z, "p_2": g2.p_value}
+                 for g1, g2 in zip(self.cells[::2], self.cells[1::2])]
         return {
             "canonical_delta": self.canonical_delta,
-            "stats": [
-                {"name": s.name, "value_1": s.value_1, "value_2": s.value_2, "z": s.z}
-                for s in self.stats
-            ],
-            "pair_cells": self.pair_cells,
+            "stats": [s.to_json_dict() for s in self.stats],
+            "pair_cells": {"bin_starts": self.bin_starts, "cells": cells},
             "tv_marginal": self.tv_marginal,
             "level": LEVEL,
             "p_floor": self.p_floor,
-            "verdict": self.verdict,
+            "verdict": "pass" if self.passed else "fail",
+            "failed_gates": self.failed_gates,
             "seeds": self.seeds,
             "n": self.n,
         }
@@ -333,84 +359,59 @@ def equivalence_mc_test(
         rows = np.vstack([_batch_rows(v, labels, width) for v in sample])
         summaries.append((rows.mean(axis=0), rows.std(axis=0, ddof=1) / math.sqrt(rows.shape[0])))
     (est1, se1), (est2, se2) = summaries
-
     names = ["mean", "variance"] + [f"acf_{k}" for k in range(1, MAX_LAG + 1)]
-    comparisons = []
-    for i, name in enumerate(names):
-        z = _z_score(float(est1[i]), float(est2[i]), math.hypot(se1[i], se2[i]))
-        comparisons.append(StatComparison(name, float(est1[i]), float(est2[i]), z))
-    scores = [c.z for c in comparisons]
+    p_floor = LEVEL / (len(names) + 2 * width * width)
 
-    cells = [{"cell": [a, b], "target": float(target[a, b])}
-             for a in range(width) for b in range(width)]
-    for idx, (est, se) in enumerate(summaries, start=1):
-        for cell, e, s in zip(cells, est[2 + MAX_LAG :].tolist(), se[2 + MAX_LAG :].tolist()):
-            z = _z_score(e, cell["target"], s)
-            cell.update({f"estimate_{idx}": e, f"z_{idx}": z})
-            scores.append(z)
-    p_floor = LEVEL / len(scores)
+    def gate(name: str, estimate: float, expected: float, se: float, **values) -> Gate:
+        z = _z_score(estimate, expected, se)
+        return _scored(name, z, _p_value(z, df), p_floor, **values)
 
-    delta = {
-        "lambda": c1.lambda_star - c2.lambda_star,
-        "alpha": c1.alpha_star - c2.alpha_star,
-        "q": c1.q_star - c2.q_star,
-    }
-    ok = (
+    delta = {"lambda": c1.lambda_star - c2.lambda_star, "alpha": c1.alpha_star - c2.alpha_star,
+             "q": c1.q_star - c2.q_star}
+    canonical = Gate("canonical_form", None, None, (
         abs(delta["lambda"]) <= CANONICAL_TOL * max(1.0, abs(c1.lambda_star))
-        and abs(delta["alpha"]) <= CANONICAL_TOL and abs(delta["q"]) <= CANONICAL_TOL
-        and all((_p_value(z, df) or 0.0) >= p_floor for z in scores)
-    )
+        and abs(delta["alpha"]) <= CANONICAL_TOL and abs(delta["q"]) <= CANONICAL_TOL), delta)
+    stats = tuple(gate(name, e1, e2, math.hypot(s1, s2), value_1=e1, value_2=e2)
+                  for name, e1, e2, s1, s2 in zip(names, est1.tolist(), est2.tolist(),
+                                                  se1.tolist(), se2.tolist()))
+    cells = []  # one gate per cell and spec, the cells in row-major order
+    for a, b in np.ndindex(width, width):
+        col, t = 2 + MAX_LAG + a * width + b, float(target[a, b])
+        for idx, (est, se) in enumerate(summaries, start=1):
+            e = float(est[col])
+            cells.append(gate(f"pair_{a}_{b}_spec_{idx}", e, t, float(se[col]),
+                              cell=[a, b], target=t, **{f"estimate_{idx}": e}))
     return EquivalenceReport(
-        canonical_delta=delta,
-        stats=tuple(comparisons),
-        pair_cells={"bin_starts": np.flatnonzero(np.diff(labels, prepend=-1)).tolist(),
-                    "cells": cells},
+        canonical=canonical,
+        stats=stats,
+        cells=tuple(cells),
+        bin_starts=np.flatnonzero(np.diff(labels, prepend=-1)).tolist(),
         tv_marginal=total_variation(*map(_pooled_pmf, samples)),
         p_floor=p_floor,
-        verdict="pass" if ok else "fail",
         seeds={"seed": master_seed.seed, "stream_id": master_seed.stream_id},
         n={"t_len": t_len, "reps": reps, "total": t_len * reps},
     )
 
 
 @dataclass(frozen=True)
-class CheckResult:
-    name: str
-    target: float | None
-    estimate: float | None
-    z: float | None
-    p_value: float | None
-    passed: bool
-    detail: dict | None = None
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "name": self.name,
-            "target": self.target,
-            "estimate": self.estimate,
-            "z": self.z,
-            "p_value": self.p_value,
-            "passed": self.passed,
-        }
-        if self.detail is not None:
-            out["detail"] = self.detail
-        return out
-
-
-@dataclass(frozen=True)
 class TraceCheckReport:
-    checks: tuple[CheckResult, ...]
+    checks: tuple[Gate, ...]
     n: int
     p_floor: float
 
     @property
+    def failed_gates(self) -> list[str]:
+        return [c.name for c in self.checks if not c.passed]
+
+    @property
     def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return not self.failed_gates
 
     def to_json_dict(self) -> dict:
         return {
             "checks": [c.to_json_dict() for c in self.checks],
             "all_passed": self.all_passed,
+            "failed_gates": self.failed_gates,
             "level": LEVEL,
             "p_floor": self.p_floor,
             "n": self.n,
@@ -442,7 +443,7 @@ def _chi2_sf(stat: float, df: int) -> float:
     )
 
 
-def _pearson(name: str, counts: np.ndarray, probs: np.ndarray, p_floor: float) -> CheckResult:
+def _pearson(name: str, counts: np.ndarray, probs: np.ndarray, p_floor: float) -> Gate:
     """Pearson chi-square of ``counts[k]``, the count of value k, against the
     non-increasing probabilities ``probs[k]``, given for k <= n // 5 at least.
 
@@ -456,16 +457,16 @@ def _pearson(name: str, counts: np.ndarray, probs: np.ndarray, p_floor: float) -
     if bins and n - expected[:bins].sum() < 5.0:
         bins -= 1  # the tail joins the last bin
     if bins == 0:
-        return CheckResult(name, None, None, None, None, True,
-                           detail={"note": "too few counts for a binned test", "n": int(n)})
+        return Gate(name, None, None, True, {"target": None, "estimate": None, "detail": {
+            "note": "too few counts for a binned test", "n": int(n)}})
     observed = np.zeros(bins + 1)
     observed[: min(bins, counts.size)] = counts[:bins]
     observed[bins] = n - observed.sum()
     expected = np.append(expected[:bins], n - expected[:bins].sum())
     stat = float(((observed - expected) ** 2 / expected).sum())
-    p = _chi2_sf(stat, expected.size - 1)
-    return CheckResult(name, None, None, None, p, p >= p_floor,
-                       detail={"chi2": stat, "bins": int(expected.size), "n": int(n)})
+    return _scored(name, None, _chi2_sf(stat, expected.size - 1), p_floor,
+                   target=None, estimate=None,
+                   detail={"chi2": stat, "bins": int(expected.size), "n": int(n)})
 
 
 def individual_level_checks(trace: PopulationTrace) -> TraceCheckReport:
@@ -486,8 +487,10 @@ def individual_level_checks(trace: PopulationTrace) -> TraceCheckReport:
     observations seen again, without the censored end, as (S - pO) /
     sqrt(p (1 - p) O): given the past, an observation is seen again with
     the image's persistence p = alpha q / (1 - decay).
-    ``observation_split_identity`` is the exact split of observed counts
-    into first and repeat observations.
+    ``observation_split_identity``, the split of observed counts into first
+    and repeat observations, is an identity that holds by construction (the
+    trace derives all three series from one partition of its individuals'
+    observations), so it is an exact gate and not one of the four scored.
     """
     lam, alpha, q = trace.params
     t_len = len(trace)
@@ -500,9 +503,8 @@ def individual_level_checks(trace: PopulationTrace) -> TraceCheckReport:
     expected = image.lambda_ * (t_len - decay * (1.0 - decay**t_len) / (1.0 - decay))
     first = int(trace.u_total.sum())
     z = _z_score(first, expected, math.sqrt(expected))
-    p = _p_value(z)
-    checks = [CheckResult("first_obs_mean", image.lambda_, first / t_len, z, p,
-                          (p or 0.0) >= p_floor, detail={"count": first, "expected": expected})]
+    checks = [_scored("first_obs_mean", z, _p_value(z), p_floor, target=image.lambda_,
+                      estimate=first / t_len, detail={"count": first, "expected": expected})]
     _, age, count = trace.u_counts.T
     ages = np.arange(min(t_len, first // 5 + 1))
     checks.append(_pearson("first_obs_rates", np.bincount(age, weights=count),
@@ -511,10 +513,9 @@ def individual_level_checks(trace: PopulationTrace) -> TraceCheckReport:
     n_gaps = int(trace.gaps.sum())
     if decay == 0.0 and n_gaps:
         ones = int(trace.gaps[1])
-        checks.append(CheckResult(
-            "gap_distribution", 1.0, ones / n_gaps, None, None, ones == n_gaps,
-            detail={"note": "degenerate: every re-observation gap must be 1"},
-        ))
+        checks.append(Gate("gap_distribution", None, None, ones == n_gaps, {
+            "target": 1.0, "estimate": ones / n_gaps,
+            "detail": {"note": "degenerate: every re-observation gap must be 1"}}))
     else:
         gaps = np.arange(n_gaps // 5 + 1)
         checks.append(_pearson("gap_distribution", trace.gaps[1:],
@@ -527,19 +528,16 @@ def individual_level_checks(trace: PopulationTrace) -> TraceCheckReport:
     seen_again = int(trace.b_tilde[: t_len - settle].sum())
     target_frac = image.total_weight
     if observed == 0:
-        checks.append(CheckResult("reobservation_fraction", target_frac, None, None, None, True,
-                                  detail={"note": "no observations occurred"}))
+        checks.append(Gate("reobservation_fraction", None, None, True, {"target": target_frac,
+                           "estimate": None, "detail": {"note": "no observations occurred"}}))
     else:
         z = _z_score(seen_again, target_frac * observed,
                      math.sqrt(target_frac * (1.0 - target_frac) * observed))
-        p = _p_value(z)
-        checks.append(CheckResult(
-            "reobservation_fraction", target_frac, seen_again / observed, z, p,
-            (p or 0.0) >= p_floor, detail={"count": seen_again, "observations": observed},
-        ))
+        checks.append(_scored("reobservation_fraction", z, _p_value(z), p_floor,
+                              target=target_frac, estimate=seen_again / observed,
+                              detail={"count": seen_again, "observations": observed}))
 
     split_ok = bool((trace.x_tilde == trace.u_total + trace.v_total).all())
-    checks.append(CheckResult(
-        "observation_split_identity", 1.0, 1.0 if split_ok else 0.0, None, None, split_ok,
-    ))
+    checks.append(Gate("observation_split_identity", None, None, split_ok,
+                       {"target": 1.0, "estimate": 1.0 if split_ok else 0.0}))
     return TraceCheckReport(checks=tuple(checks), n=t_len, p_floor=p_floor)

@@ -247,7 +247,7 @@ def test_criterion_6_individual_level_reconstruction(reseed_once):
         assert by_name["gap_distribution"].passed, rep.to_json()
         assert rep.all_passed, rep.to_json()
         # the first-observation mean target is the published 0.82 rate
-        assert round(by_name["first_obs_mean"].target, 4) == 0.8204
+        assert round(by_name["first_obs_mean"].values["target"], 4) == 0.8204
 
     reseed_once(check, 601, 602)
     elapsed = time.perf_counter() - start

@@ -346,6 +346,16 @@ class TestCheck:
         assert res.returncode == 1
         assert json.loads(res.stdout)["verdict"] == "fail"
 
+    def test_changed_alpha_fails_on_the_canonical_form(self, tmp_path):
+        # alpha 0.52 -> 0.56 at the same rate and q: another class.
+        a = write_spec(tmp_path, EXAMPLE_SPEC, "a.json")
+        moved = dict(EXAMPLE_SPEC, latent={"kind": "inar1", "lambda": 1.62, "alpha": 0.56})
+        b = write_spec(tmp_path, moved, "b.json")
+        res = run_cli("check", a, b, "--t", "10000", "--reps", "1", "--seed", "1")
+        assert res.returncode == 1, res.stderr
+        doc = json.loads(res.stdout, parse_constant=reject_constant)
+        assert "canonical_form" in doc["failed_gates"] and doc["verdict"] == "fail"
+
 
 class TestAppendix:
     def test_writes_trace_and_passing_report(self, tmp_path):

@@ -270,15 +270,15 @@ class TestChiSquareTail:
         expected = np.append(400 * probs[:9], 400 * 0.7**9)
         observed = np.append(counts[:9], 400 - counts[:9].sum())
         want = sps.chisquare(observed, expected)
-        assert check.detail == {"chi2": pytest.approx(want.statistic, rel=1e-12),
-                                "bins": 10, "n": 400}
+        assert check.values["detail"] == {"chi2": pytest.approx(want.statistic, rel=1e-12),
+                                          "bins": 10, "n": 400}
         assert check.p_value == pytest.approx(want.pvalue, rel=1e-9)
         assert check.passed == (want.pvalue >= 0.01)
         # A tail expecting fewer than 5 joins the last bin.
         folded = _pearson("short", counts[:3], np.array([0.5, 0.3, 0.2]), 0.01)
         n = counts[:3].sum()
         want = sps.chisquare(counts[:3], n * np.array([0.5, 0.3, 0.2]))
-        assert folded.detail["bins"] == 3
+        assert folded.values["detail"]["bins"] == 3
         assert folded.p_value == pytest.approx(want.pvalue, rel=1e-9)
         # Fewer than two bins leave nothing to test.
         assert _pearson("few", np.array([3, 1]), np.array([0.6, 0.4]), 0.01).passed
@@ -459,11 +459,12 @@ class TestEquivalenceMcTest:
         monkeypatch.setattr(diagnostics, "_observed_series", constant)
         report = equivalence_mc_test(UnderreportedModel.from_inar1(sparse, 0.5), image,
                                      10_000, 1, RngStream(1))
-        assert report.pair_cells["cells"] == []
+        assert report.cells == ()
         mean = next(s for s in report.stats if s.name == "mean")
-        assert (mean.value_1, mean.value_2) == (0.0, float(second))
+        assert (mean.values["value_1"], mean.values["value_2"]) == (0.0, float(second))
         assert mean.z == (0.0 if passed else None)
         assert report.passed is passed
+        assert ("mean" in report.failed_gates) is not passed
         doc = json.loads(report.to_json(), parse_constant=reject_constant)
         assert doc["stats"][0]["z"] == mean.z  # null in the JSON when undefined
 
@@ -494,17 +495,18 @@ class TestEquivalenceMcTest:
         doc = report.to_json_dict()
         assert set(doc) == {
             "canonical_delta", "stats", "pair_cells", "tv_marginal", "level", "p_floor",
-            "verdict", "seeds", "n",
+            "verdict", "failed_gates", "seeds", "n",
         }
         assert doc["level"] == diagnostics.LEVEL
         cells = doc["pair_cells"]["cells"]
         assert doc["pair_cells"]["bin_starts"][0] == 0 and len(cells) in (4, 9, 16)
-        assert set(cells[0]) == {"cell", "target", "estimate_1", "z_1", "estimate_2", "z_2"}
+        assert set(cells[0]) == {"cell", "target", "estimate_1", "z_1", "p_1",
+                                 "estimate_2", "z_2", "p_2"}
         assert doc["p_floor"] == pytest.approx(diagnostics.LEVEL / (7 + 2 * len(cells)))
         assert {s["name"] for s in doc["stats"]} == {
             "mean", "variance", "acf_1", "acf_2", "acf_3", "acf_4", "acf_5",
         }
-        assert set(doc["stats"][0]) == {"name", "value_1", "value_2", "z"}
+        assert set(doc["stats"][0]) == {"name", "value_1", "value_2", "z", "p_value", "passed"}
         assert doc["verdict"] in ("pass", "fail")
 
     def test_preconditions(self):
@@ -542,9 +544,9 @@ class TestIndividualLevelChecks:
         )
         first = individual_level_checks(t).checks[0]
         want = math.fsum(Q * LAM * decay**i for s in range(t_len) for i in range(s + 1))
-        assert first.detail == {"count": int(t.u_total.sum()),
-                                "expected": pytest.approx(want, rel=1e-12)}
-        assert first.z == pytest.approx((first.detail["count"] - want) / math.sqrt(want))
+        assert first.values["detail"] == {"count": int(t.u_total.sum()),
+                                          "expected": pytest.approx(want, rel=1e-12)}
+        assert first.z == pytest.approx((first.values["detail"]["count"] - want) / math.sqrt(want))
 
     def test_degenerate_gap_check_under_full_observation(self):
         t = simulate_individual_level(
@@ -552,7 +554,7 @@ class TestIndividualLevelChecks:
         )
         report = individual_level_checks(t)
         gap = next(c for c in report.checks if c.name == "gap_distribution")
-        assert gap.passed and gap.estimate == 1.0
+        assert gap.passed and gap.values["estimate"] == 1.0
 
     def test_trace_without_observations_passes_with_notes(self):
         spec = Inar1Spec(1e-9, 0.5)
@@ -562,7 +564,8 @@ class TestIndividualLevelChecks:
             warnings.simplefilter("error")  # no numpy warning from an empty trace
             report = individual_level_checks(t)
         assert report.all_passed, report.to_json()
-        notes = {c.name: c.detail["note"] for c in report.checks if "note" in (c.detail or {})}
+        notes = {c.name: c.values["detail"]["note"] for c in report.checks
+                 if "note" in c.values.get("detail", {})}
         assert notes == {
             "first_obs_rates": "too few counts for a binned test",
             "gap_distribution": "too few counts for a binned test",
@@ -576,3 +579,55 @@ class TestIndividualLevelChecks:
         )
         report = individual_level_checks(t)
         assert report.all_passed, report.to_json()
+
+
+def cell_gate_names(doc):
+    """The pair cells' gate names in a check report's order: per cell, each spec."""
+    return [f"pair_{a}_{b}_spec_{i}"
+            for a, b in (c["cell"] for c in doc["pair_cells"]["cells"]) for i in (1, 2)]
+
+
+class TestFailedGates:
+    """Each verdict is read off its failed gates: ``failed_gates`` names the
+    entries that fail, in report order, and the verdict passes exactly when
+    it is empty."""
+
+    def test_check_lists_its_failing_entries(self):
+        # Worked against image at T = 1e4, reps 1: seed 2 fails the mean and
+        # one pair cell, seeds 1, 3 and 4 fail nothing.
+        lists = []
+        for seed in range(1, 5):
+            report = equivalence_mc_test(EXAMPLE, IMAGE_MODEL, 10_000, 1, RngStream(seed))
+            doc = json.loads(report.to_json(), parse_constant=reject_constant)
+            p_cells = [c[f"p_{i}"] for c in doc["pair_cells"]["cells"] for i in (1, 2)]
+            want = [s["name"] for s in doc["stats"] if not s["passed"]] + [
+                name for name, p in zip(cell_gate_names(doc), p_cells)
+                if p is None or p < doc["p_floor"]]
+            assert doc["failed_gates"] == want == report.failed_gates
+            assert (doc["verdict"] == "pass") is (not want) is report.passed
+            lists.append(want)
+        assert any(lists)
+
+    def test_appendix_lists_its_failing_checks(self):
+        # At T = 1e4, seed 3 fails first_obs_rates; seeds 1, 2, 4 and 5 fail nothing.
+        lists = []
+        for seed in range(1, 6):
+            t = simulate_individual_level(
+                Inar1Spec(LAM, ALPHA), ReportingSpec(q=Q), 10_000, RngStream(seed)
+            )
+            doc = json.loads(individual_level_checks(t).to_json(), parse_constant=reject_constant)
+            want = [c["name"] for c in doc["checks"] if not c["passed"]]
+            assert doc["failed_gates"] == want
+            assert doc["all_passed"] is (not want)
+            lists.append(want)
+        assert any(lists)
+
+    def test_gate_names_are_unique(self):
+        # Observed mean 8 and acf_1 0.2 take 4 bins: 16 pair cells, 32 cell gates.
+        model = UnderreportedModel.from_inar1(Inar1Spec(6.4, 0.2), 1.0)
+        report = equivalence_mc_test(model, model, 10_000, 1, RngStream(1))
+        names = [g.name for g in (report.canonical, *report.stats, *report.cells)]
+        assert len(set(names)) == len(names) == 1 + 7 + 32
+        assert names[0] == "canonical_form"
+        assert names[8:] == cell_gate_names(report.to_json_dict())
+        assert report.p_floor == diagnostics.LEVEL / (7 + 32)
