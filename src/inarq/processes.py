@@ -59,8 +59,12 @@ def _acf(values: np.ndarray, max_lag: int) -> tuple[float, ...]:
     )
 
 
-# Rows rendered at once by _csv_rows; bounds its working arrays.
-_CSV_CHUNK_ROWS = 1 << 16
+# Rows rendered at once by _csv_rows; bounds its working arrays, which set
+# simulate's peak RSS. 2**15 rows halve the writer's traced peak against
+# 2**16 (1.45 against 2.9 MB on 1.3e5 rows) at no cost in write time (a
+# median 3.5 against 3.9 ms for 5e4 rows); BENCH_29.json has the end-to-end
+# figures.
+_CSV_CHUNK_ROWS = 1 << 15
 
 
 def _step_digits(line: np.ndarray, k: int, start: int) -> None:
@@ -869,10 +873,12 @@ def simulate_individual_level(
     The individuals come straight from the chain kernel's draws as the
     trace's columns: births and unclipped deaths in draw order (not step
     order), and the observations grouped by individual and in time order;
-    the trace derives every per-step series and table from them. Only the
-    steps each individual is alive before the horizon are laid out.
-    Nothing is built per individual; memory still grows with lambda * t_len,
-    so a trace expecting more than ``_MAX_BLOCK_APPEARANCES`` appearances,
+    the trace derives every per-step series and table from them. Each step
+    an individual is alive before the horizon takes one uniform; int64
+    arrays are built only per individual and per observation, which is
+    mapped to its individual and step by a search over the cumulative
+    alive steps. Memory still grows with lambda * t_len, so a trace
+    expecting more than ``_MAX_BLOCK_APPEARANCES`` appearances,
     lambda * t_len / (1 - alpha), is rejected before any draw.
 
     Only time-homogeneous reporting is supported (``omega`` must be 1).
@@ -883,18 +889,20 @@ def simulate_individual_level(
         )
     if t_len < 1:
         raise ParameterError(f"series length must be at least 1, got {t_len}")
-    # Every in-horizon appearance is laid out at once, in several arrays.
+    # Every in-horizon appearance draws its uniform at once.
     _require_layout(spec.lambda_ * t_len / (1.0 - spec.alpha), "chain appearances")
     _require_steps(t_len, "trace length")
     blocks = [b[1:3] for b in _chain_blocks(spec.lambda_, spec.alpha, t_len, rng)]
     births, lengths = map(np.concatenate, zip(*blocks))
     # Each individual is alive at the consecutive steps [birth, birth + length);
-    # only those before the horizon are laid out.
+    # only those before the horizon are drawn.
     alive = np.minimum(lengths, t_len - births)
-    times = np.repeat(births - (np.cumsum(alive) - alive), alive) + np.arange(alive.sum())
-    owner = np.repeat(np.arange(births.size), alive)
-    seen = rng.generator.random(times.size) < rep.q
-    obs_times, obs_owner = times[seen], owner[seen]
-    del times, owner, seen  # freed before the trace derives its aggregates
+    # Appearance k belongs to the individual whose run of alive steps,
+    # [ends - alive, ends), holds k, at its birth plus its offset in that run.
+    ends = np.cumsum(alive)
+    seen = np.flatnonzero(rng.generator.random(ends[-1] if ends.size else 0) < rep.q)
+    obs_owner = np.searchsorted(ends, seen, side="right")
+    obs_times = (births - ends + alive)[obs_owner] + seen
+    del seen  # freed before the trace derives its aggregates
     return PopulationTrace(births, births + lengths, obs_times, obs_owner, t_len,
                            (spec.lambda_, spec.alpha, rep.q), rng.identity)

@@ -3,6 +3,7 @@ import itertools
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,6 +136,22 @@ class TestCountSeries:
         default = series_csv(s, tmp_path)
         monkeypatch.setattr(processes, "_CSV_CHUNK_ROWS", 1000)
         assert series_csv(s, tmp_path) == default
+
+    def test_writer_memory_is_one_chunk(self, tmp_path):
+        # The writer's traced peak beyond its input is the same on 4 and 16
+        # chunks, whose rows all have 6-digit step numbers: it holds one
+        # chunk's buffers at a time, however long the series.
+        def peak(rows):
+            s = CountSeries(np.random.default_rng(3).poisson(7.0, rows), (0, 0), 0, "x")
+            tracemalloc.start()
+            try:
+                write_series_csv(s, tmp_path / "s.csv")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short, long = peak(4 * _CSV_CHUNK_ROWS), peak(16 * _CSV_CHUNK_ROWS)
+        assert abs(long / short - 1) <= 0.1, (short, long)
 
 
 INT64_MAX = int(np.iinfo(np.int64).max)
@@ -1211,6 +1228,63 @@ class TestIndividualLevel:
         )
         assert np.array_equal(a.x, b.x)
         assert trace_csvs(a, tmp_path)[1] == trace_csvs(b, tmp_path)[1]
+
+
+def layout_by_repeat(spec, rep, t_len, rng):
+    """simulate_individual_level with every in-horizon appearance laid out as
+    int64 step and owner arrays, then thinned by one uniform each: the
+    reference for the index-mapped observations."""
+    blocks = [b[1:3] for b in _chain_blocks(spec.lambda_, spec.alpha, t_len, rng)]
+    births, lengths = map(np.concatenate, zip(*blocks))
+    alive = np.minimum(lengths, t_len - births)
+    times = np.repeat(births - (np.cumsum(alive) - alive), alive) + np.arange(alive.sum())
+    owner = np.repeat(np.arange(births.size), alive)
+    seen = rng.generator.random(times.size) < rep.q
+    obs_times, obs_owner = times[seen], owner[seen]
+    del times, owner, seen
+    return processes.PopulationTrace(births, births + lengths, obs_times, obs_owner, t_len,
+                                     (spec.lambda_, spec.alpha, rep.q), rng.identity)
+
+
+TRACE_FIELDS = ("births", "deaths", "obs_times", "obs_owner", "x", "x_tilde", "u_total",
+                "v_total", "b_tilde", "u_counts", "v_counts", "gaps")
+
+
+class TestIndexMappedObservations:
+    @pytest.mark.parametrize("lam, alpha, q, seed", [
+        *[(LAM, ALPHA, Q, seed) for seed in range(1, 6)],
+        (1e-9, ALPHA, Q, 1),  # nobody is born
+        (LAM, 0.0, Q, 2),  # every individual alive one step
+        (LAM, ALPHA, 1.0, 3),  # every appearance observed
+        (LAM, ALPHA, 1e-3, 4),  # few observations
+    ], ids=[*[f"seed{s}" for s in range(1, 6)], "no_births", "alpha0", "q1", "q_small"])
+    def test_same_trace_as_the_repeat_layout(self, lam, alpha, q, seed):
+        spec, rep = Inar1Spec(lam, alpha), ReportingSpec(q=q)
+        got = simulate_individual_level(spec, rep, 3_000, RngStream(seed))
+        want = layout_by_repeat(spec, rep, 3_000, RngStream(seed))
+        if lam < 1e-6:
+            assert got.births.size == 0
+        for name in TRACE_FIELDS:
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    def test_draw_stage_peak_below_the_repeat_layout(self, monkeypatch):
+        # The draw stage alone: the trace's constructor, which derives the
+        # aggregates, is replaced by one that returns its columns.
+        monkeypatch.setattr(processes, "PopulationTrace", lambda *columns: columns)
+
+        def peak(simulate):
+            tracemalloc.start()
+            try:
+                columns = simulate(Inar1Spec(LAM, ALPHA), ReportingSpec(q=Q), 200_000,
+                                   RngStream(1))
+                return tracemalloc.get_traced_memory()[1], columns
+            finally:
+                tracemalloc.stop()
+
+        (mapped, got), (laid_out, want) = peak(simulate_individual_level), peak(layout_by_repeat)
+        assert all(np.array_equal(g, w) for g, w in zip(got[:4], want[:4]))
+        # About 24 against 30 MB: the step and owner arrays of 6.7e5 appearances are gone.
+        assert mapped < 0.9 * laid_out, (mapped, laid_out)
 
 
 class TestTracePathwiseIdentities:
