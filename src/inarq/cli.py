@@ -92,8 +92,8 @@ def _require_known_keys(doc: dict, allowed: tuple[str, ...], where: str) -> None
             )
 
 
-def load_model_file(path: str) -> tuple[UnderreportedModel, ReportingSpec, str]:
-    """Parse a model spec file into (model, reporting spec, latent kind).
+def load_model_file(path: str) -> tuple[UnderreportedModel, ReportingSpec]:
+    """Parse a model spec file into (model, reporting spec).
 
     The canonical document shape is
     ``{"latent": {"kind": "inar1"|"geom_inf", ...}, "reporting": {"q": ..., "omega": ...}}``
@@ -150,7 +150,7 @@ def load_model_file(path: str) -> tuple[UnderreportedModel, ReportingSpec, str]:
     q = _require_number(rep_doc, "q", "reporting") if "q" in rep_doc else 1.0
     omega = _require_number(rep_doc, "omega", "reporting") if "omega" in rep_doc else 1.0
     reporting = ReportingSpec(q=q, omega=omega)
-    return UnderreportedModel(latent=latent, q=q), reporting, kind
+    return UnderreportedModel(latent=latent, q=q), reporting
 
 
 def _require_homogeneous(reporting: ReportingSpec, what: str) -> None:
@@ -206,7 +206,7 @@ def _draw_class(model: UnderreportedModel, args, draw: RngStream, thin: RngStrea
 def cmd_simulate(args) -> int:
     _bind_drawing("processes", "sampling")
     _pin_allocator()
-    model, reporting, _ = load_model_file(args.spec)
+    model, reporting = load_model_file(args.spec)
     stream = RngStream(args.seed)
     draw, report = stream.substream(0), stream.substream(1)
     if reporting.omega == 1.0:
@@ -231,7 +231,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    model, reporting, _ = load_model_file(args.spec)
+    model, reporting = load_model_file(args.spec)
     _require_homogeneous(reporting, "transform")
     target = args.to
     if target == "inf":
@@ -270,7 +270,7 @@ def cmd_transform(args) -> int:
 
 
 def cmd_expand(args) -> int:
-    model, _, _ = load_model_file(args.spec)
+    model, _ = load_model_file(args.spec)
     terms = expand_lags(model.latent, args.cutoff)
     lines = ["i,alpha_i"]
     lines.extend(f"{i},{w:.12g}" for i, w in terms)
@@ -279,7 +279,7 @@ def cmd_expand(args) -> int:
 
 
 def cmd_curve(args) -> int:
-    model, reporting, _ = load_model_file(args.spec)
+    model, reporting = load_model_file(args.spec)
     _require_homogeneous(reporting, "curve")
     points = equivalence_curve(model, args.grid)
     write_curve_csv(points, args.out)
@@ -294,8 +294,8 @@ def cmd_curve(args) -> int:
 def cmd_check(args) -> int:
     _bind_drawing("diagnostics", "sampling")
     _pin_allocator()
-    m1, rep1, _ = load_model_file(args.spec_1)
-    m2, rep2, _ = load_model_file(args.spec_2)
+    m1, rep1 = load_model_file(args.spec_1)
+    m2, rep2 = load_model_file(args.spec_2)
     _require_homogeneous(rep1, "check")
     _require_homogeneous(rep2, "check")
     report = equivalence_mc_test(m1, m2, args.t, args.reps, RngStream(args.seed))
@@ -306,10 +306,11 @@ def cmd_check(args) -> int:
 def cmd_appendix(args) -> int:
     _bind_drawing("diagnostics", "processes", "sampling")
     _pin_allocator()
-    model, reporting, kind = load_model_file(args.spec)
-    if kind != "inar1":
+    model, reporting = load_model_file(args.spec)
+    if model.latent.gamma != 0.0:
         raise ParameterError(
-            "the individual-level reconstruction requires a latent kind 'inar1' spec"
+            "the individual-level reconstruction requires a first-order latent process "
+            f"(gamma = 0), got gamma = {model.latent.gamma}"
         )
     _require_homogeneous(reporting, "appendix")
     spec = Inar1Spec(model.latent.lambda_, model.latent.beta)

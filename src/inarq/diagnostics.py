@@ -23,7 +23,6 @@ from .processes import (
     Inar1Spec,
     PopulationTrace,
     ReportingSpec,
-    _acf,
     _require_geom_block_size,
     _require_steps,
     apply_reporting,

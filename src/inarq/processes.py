@@ -136,7 +136,9 @@ def _csv_rows(header: bytes, columns, steps: bool = False):
             block[end - 1] = ord(",")
         block[-1] = ord("\n")
         chars = block.T.ravel()
-        yield chars[chars != 0]
+        del block  # each buffer is dropped once read, for a peak of three, not four
+        chars = chars[chars != 0]
+        yield chars
 
 
 def write_series_csv(series: CountSeries, path) -> None:
@@ -149,8 +151,8 @@ def write_series_csv(series: CountSeries, path) -> None:
 # Expected entries per block of steps: appearances, or on the unit-gap path
 # chains and per-step class counts; bounds the kernel's working arrays.
 _BLOCK_APPEARANCES = 1 << 15
-# Most expected appearances, or chains counted as intervals, the first block
-# (or the whole individual-level trace) may lay out (about 0.7 GB of arrays).
+# Most entries one block may expect, as _layout counts them, or appearances
+# the whole individual-level trace may lay out: about 0.7 GB of arrays.
 _MAX_BLOCK_APPEARANCES = 1 << 24
 # Largest stationary mean of a series drawn on the unit-gap path, whose
 # per-step class counts are summed by a float-weighted bincount: 2**53.
@@ -222,6 +224,25 @@ def _class_lengths(mean: float, rho: float, skip: int, rng: RngStream) -> np.nda
     return np.concatenate((np.repeat(np.arange(skip + 1, skip + 1 + counts.size), counts), tail))
 
 
+def _layout(lam: float, rho: float, reach: float, dense: bool) -> tuple[int, int, float, float]:
+    """What :func:`_chain_blocks` lays out, read by it and by
+    :func:`_require_block_size`: ``(skip, top, per_step, start)``, the dense
+    classes, the start's counted classes (as :func:`_class_counts` raises
+    them) and the entries a one-step block and the start block expect.
+
+    With ``dense`` an entry is a class count or a chain past the counted
+    classes: a step has ``skip`` counts and Poisson(lam * rho**skip) chains,
+    the start ``top`` counts and Poisson(m * rho**top) chains, m = lam /
+    (1 - rho) * reach chains under way. Otherwise it is an appearance.
+    """
+    under_way = lam / (1.0 - rho) * reach
+    skip = _dense_classes(lam, rho) if dense else 0
+    top = max(skip, _classes(under_way, rho, _CLASS_CHAINS))
+    if dense:
+        return skip, top, skip + lam * rho**skip, top + under_way * rho**top
+    return skip, top, lam / (1.0 - rho), under_way / (1.0 - rho)
+
+
 def _chain_blocks(lam: float, rho: float, steps: int, rng: RngStream, reach: float = 0.0,
                   residual_draw=_unit_gaps, dense: bool = False):
     """Draw immigrant chains over ``steps`` steps, one block at a time.
@@ -238,16 +259,14 @@ def _chain_blocks(lam: float, rho: float, steps: int, rng: RngStream, reach: flo
     instead as per-step counts, ``hist[k - 1, s]`` ~ Poisson(lam * (1 - rho)
     * rho**(k - 1)) chains of length k arriving at step t0 + s, drawn by
     :func:`_poisson_counts`; they never exist as arrays. Blocks are sized
-    to about ``_BLOCK_APPEARANCES`` entries laid out: appearances, or with
-    ``dense`` chains and counts.
+    to about ``_BLOCK_APPEARANCES`` entries laid out, as :func:`_layout` counts them.
 
     With ``reach`` > 0 the chains under way at step 0, a Poisson colouring of
-    past immigrants, join the first block: Poisson(lam * reach / (1 - rho)),
-    ``reach`` = rho * E[G] for a gap G, drawn by :func:`_class_counts`, each
-    next appearing at step R - 1, P(R = r) = P(G >= r) / E[G], drawn by
-    ``residual_draw(k)``. With ``dense`` all are present from step 0, so
-    their counted classes (the dense ones at least) come first as a block of
-    width 1, and only the chains past those are laid out.
+    past immigrants, are a block of their own at step 0: Poisson(lam * reach
+    / (1 - rho)), ``reach`` = rho * E[G] for a gap G, drawn by
+    :func:`_class_counts`, each next appearing at step R - 1, P(R = r) = P(G
+    >= r) / E[G], drawn by ``residual_draw(k)``. With ``dense`` its counted
+    classes are its one-column ``hist``; only the chains past them are laid out.
 
     Yields, per block, its first step, the sparse chains' arrival steps and
     lengths (in class order, not step order) and ``hist`` (no rows without
@@ -255,27 +274,19 @@ def _chain_blocks(lam: float, rho: float, steps: int, rng: RngStream, reach: flo
     the horizon.
     """
     g = rng.generator
-    skip = _dense_classes(lam, rho) if dense else 0
-    per_step = skip + lam * rho**skip if dense else lam / (1.0 - rho)
+    skip, top, per_step, _ = _layout(lam, rho, reach, dense)
+    if reach:
+        counts, lengths = _class_counts(lam / (1.0 - rho) * reach, rho, 0, top, rng)
+        if not dense:  # every chain is laid out
+            lengths = np.concatenate((np.repeat(np.arange(1, top + 1), counts), lengths))
+            counts = counts[:0]
+        yield 0, residual_draw(lengths.size) - 1, lengths, counts[:, None]
     block = int(min(steps, max(1.0, _BLOCK_APPEARANCES / per_step)))
     rates = lam * (1.0 - rho) * rho ** np.arange(skip, dtype=np.float64)
-    lengths = np.zeros(0, dtype=np.int64)
-    if reach:
-        mean = lam / (1.0 - rho) * reach
-        if dense:
-            counts, lengths = _class_counts(mean, rho, 0, skip, rng)
-            if counts.size:
-                yield 0, lengths[:0], lengths[:0], counts[:, None]
-        else:
-            lengths = _class_lengths(mean, rho, 0, rng)
-    under_way = (residual_draw(lengths.size) - 1, lengths)
     for t0 in range(0, steps, block):
         width = min(block, steps - t0)
         lengths = _class_lengths(lam * width, rho, skip, rng)
         arrivals = g.integers(t0, t0 + width, lengths.size)
-        if t0 == 0:
-            arrivals = np.concatenate((under_way[0], arrivals))
-            lengths = np.concatenate((under_way[1], lengths))
         yield t0, arrivals, lengths, _poisson_counts(rates, width, g)
 
 
@@ -321,34 +332,23 @@ def _require_steps(steps: int, what: str) -> None:
 
 
 def _require_block_size(lam: float, rho: float, reach: float, as_intervals: bool) -> None:
-    """Reject a spec whose first block would lay out too many chains or appearances.
-
-    That block holds the chains under way at step 0, Poisson(lam * reach /
-    (1 - rho)) of them, and at least one step's immigrants, Poisson(lam).
-    Without ``as_intervals`` each chain makes 1 / (1 - rho) appearances on
-    average, and all of them are laid out. With it (the unit-gap path of
-    :func:`_count_chains`) only the chains are, and only those past the
-    first ``_dense_classes`` length classes, a share rho**skip of them (more
-    than the start lays out, so conservative); the
-    path also sums per-step counts as doubles, exact below 2**53, so it
-    rejects a spec whose stationary mean lam / (1 - rho) passes that. A
-    later block lays out about max(per-step entries, _BLOCK_APPEARANCES)
-    entries, and a step's entries are at most its laid-out chains plus one
-    count per dense class, or lam / (1 - rho) appearances, so it stays
-    under the bound whenever the first block does.
+    """Reject a spec one of whose blocks in :func:`_chain_blocks` expects more
+    than ``_MAX_BLOCK_APPEARANCES`` entries, as :func:`_layout` counts them:
+    the start block, or a later one, which holds about ``_BLOCK_APPEARANCES``
+    entries or one step. ``as_intervals``, the unit-gap path of
+    :func:`_count_chains`, sums per-step counts as doubles, exact below
+    2**53, so it also rejects a stationary mean lam / (1 - rho) past that.
     """
-    expected = lam * reach / (1.0 - rho) + lam
-    if not as_intervals:
-        _require_layout(expected / (1.0 - rho), "chain appearances")
-        return
     mean = lam / (1.0 - rho)
-    if mean > _MAX_EXACT_MEAN:
+    if as_intervals and mean > _MAX_EXACT_MEAN:
         raise ParameterError(
             f"the simulated series would have a stationary mean of about {mean:.3g}, more "
             f"than the bound {_MAX_EXACT_MEAN} below which its counts are summed exactly; "
             f"lower the immigration rate or the persistence"
         )
-    _require_layout(expected * rho ** _dense_classes(lam, rho), "chains")
+    _, _, per_step, start = _layout(lam, rho, reach, as_intervals)
+    _require_layout(max(per_step, start),
+                    "chains and class counts" if as_intervals else "chain appearances")
 
 
 def _count_chains(blocks, gap_draw, steps: int) -> tuple[np.ndarray, dict[str, int]]:
@@ -458,7 +458,7 @@ def _geom_chain_law(spec: GeomInarSpec) -> tuple[float, float]:
 
 
 def _require_geom_block_size(spec: GeomInarSpec) -> None:
-    """The first-block bound :func:`simulate_inar_inf` applies to ``spec``."""
+    """The block bound :func:`simulate_inar_inf` applies to ``spec``."""
     _require_block_size(spec.lambda_, *_geom_chain_law(spec), spec.gamma == 0.0)
 
 
@@ -473,7 +473,7 @@ LAYOUT_MAX_MEAN = 8.0
 
 
 def _drawable(spec: GeomInarSpec) -> bool:
-    """Whether the chain kernel admits ``spec``: its first block is within the bound."""
+    """Whether the chain kernel admits ``spec``: each of its blocks is within the bound."""
     try:
         _require_geom_block_size(spec)
     except ParameterError:
@@ -494,8 +494,8 @@ def simulation_route(model: UnderreportedModel) -> tuple[Inar1Spec | GeomInarSpe
 
     The image is laid out while its stationary mean is at most
     ``LAYOUT_MAX_MEAN`` and the canonical form is drawn above it, unless the
-    chosen end's first block exceeds the chain kernel's bound (or the
-    canonical rate overflows) and the other end's does not. An image with
+    chosen end exceeds the chain kernel's block bound (or the
+    canonical rate overflows) and the other end does not. An image with
     gamma = 0 is first order already and one with beta = 0 is i.i.d.
     Poisson; both are returned as an ``Inar1Spec`` with q = 1.
     """

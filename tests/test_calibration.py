@@ -45,11 +45,13 @@ def worked_pair(mean):
             UnderreportedModel(absorb_reporting(spec, Q), 1.0))
 
 
-# N = 60 seeds per case: at most 2 false rejections.
+# N = 150 seeds per case: at most 5 false rejections. At N = 60 (at most 2)
+# a verdict calibrated at LEVEL = 0.01 still breaks a case with probability
+# about 2%, so any change of draws broke one of the eight about 1 time in 7.
 @pytest.mark.parametrize("reps", [1, 3])
 @pytest.mark.parametrize("mean", [0.1, 1.1, 8.0, 40.0])
 def test_check_false_rejections(mean, reps):
-    n = 60
+    n = 150
     m1, m2 = worked_pair(mean)
     failed = [seed for seed in range(40_000, 40_000 + n)
               if not equivalence_mc_test(m1, m2, T_LEN, reps, RngStream(seed)).passed]

@@ -431,6 +431,23 @@ class TestAppendix:
         spec = write_spec(tmp_path, IMAGE_SPEC)
         res = run_cli("appendix", spec, "--t", "100", "--out", str(tmp_path / "t.csv"))
         assert res.returncode == 2
+        assert "gamma = 0" in res.stderr
+
+    def test_takes_any_first_order_spec(self, tmp_path):
+        # transform prints the worked model at its own q as geom_inf with
+        # gamma = 0: the same first-order model, so the same trace.
+        spec = write_spec(tmp_path, EXAMPLE_SPEC)
+        res = run_cli("transform", spec, "--to", "q=0.33")
+        assert json.loads(res.stdout)["latent"]["kind"] == "geom_inf"
+        low = tmp_path / "low.json"
+        low.write_text(res.stdout, encoding="utf-8")
+        outs = []
+        for name, path in (("inar1", spec), ("geom_inf", str(low))):
+            out = tmp_path / f"{name}.csv"
+            res = run_cli("appendix", path, "--t", "2000", "--seed", "2", "--out", str(out))
+            assert res.returncode == 0, res.stderr[-300:]
+            outs.append((res.stdout, out.read_bytes(), (tmp_path / f"{name}_long.csv").read_bytes()))
+        assert outs[0] == outs[1]
 
 
 def limit_memory():
@@ -463,6 +480,35 @@ class TestWorkBound:
         assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
         assert f"the bound {bound}" in res.stderr
         assert not (tmp_path / "x.csv").exists()
+
+    def test_slow_decay_first_order_spec_is_drawn(self, tmp_path):
+        # lambda = 1000, alpha = 0.99999: 1e8 chains under way at step 0, but
+        # the start counts 4.6e5 length classes and lays out only the 1e6
+        # chains past them, under the bound. A child started by this (large)
+        # process inherits its peak RSS at exec, so the child forks a fresh
+        # process to run the command and reads that one's peak; ru_maxrss is
+        # in bytes on macOS and KiB elsewhere.
+        spec = write_spec(tmp_path, {"latent": {"kind": "inar1", "lambda": 1000, "alpha": 0.99999}})
+        code = (
+            "import os, sys\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    from inarq import cli\n"
+            "    rc = cli.main(sys.argv[1:])\n"
+            "    sys.stdout.flush()\n"
+            "    os._exit(rc)\n"
+            "_, status, usage = os.wait4(pid, 0)\n"
+            "assert status == 0, status\n"
+            "print(usage.ru_maxrss if sys.platform == 'darwin' else usage.ru_maxrss * 1024)\n"
+        )
+        out = tmp_path / "x.csv"
+        res = subprocess.run([sys.executable, "-c", code, "simulate", spec, "--t", "10000",
+                              "--seed", "1", "--out", str(out)], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr[-500:]
+        peak = int(res.stdout.splitlines()[-1])
+        assert peak < 150 * 2**20, peak / 2**20
+        assert json.loads(res.stdout.splitlines()[0])["n"] == 10000
+        assert len(out.read_text().splitlines()) == 10001
 
     @pytest.mark.parametrize("command, spec_doc, args", [
         ("simulate", EXAMPLE_SPEC, ("--t", str(10**11))),

@@ -402,7 +402,7 @@ class TestSimulationRoute:
         assert isinstance(simulation_route(at_mean(LAYOUT_MAX_MEAN * 1.01))[0], Inar1Spec)
 
     def test_undrawable_image_takes_the_canonical_form(self):
-        # Image mean 5, but its first block would lay out about 5e7 appearances;
+        # Image mean 5, but its start block would lay out about 5e7 appearances;
         # the first-order form holds about 10 chains.
         model = UnderreportedModel.from_inar1(Inar1Spec(1e-6, 0.9999999), 0.5)
         with pytest.raises(ParameterError, match="chain appearances"):

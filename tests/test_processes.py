@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy import stats as sps
+from scipy.optimize import brentq
 
 from inarq import (
     CountSeries,
@@ -36,6 +37,7 @@ from inarq.processes import (
     _count_chains,
     _dense_classes,
     _inversion_table,
+    _layout,
     _MAX_BLOCK_APPEARANCES,
     _MAX_EXACT_MEAN,
     _MAX_STEPS,
@@ -141,17 +143,29 @@ class TestCountSeries:
         # The writer's traced peak beyond its input is the same on 4 and 16
         # chunks, whose rows all have 6-digit step numbers: it holds one
         # chunk's buffers at a time, however long the series.
-        def peak(rows):
-            s = CountSeries(np.random.default_rng(3).poisson(7.0, rows), (0, 0), 0, "x")
-            tracemalloc.start()
-            try:
-                write_series_csv(s, tmp_path / "s.csv")
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        short, long = peak(4 * _CSV_CHUNK_ROWS), peak(16 * _CSV_CHUNK_ROWS)
+        short, long = writer_peak(4, tmp_path), writer_peak(16, tmp_path)
         assert abs(long / short - 1) <= 0.1, (short, long)
+
+    def test_writer_drops_each_buffer_once_read(self, tmp_path):
+        # A chunk of rows "t,count" is a digit block of 10 lines (six step
+        # digits, a comma, two count digits, a newline) by 2**15 rows. The
+        # block is dropped once transposed and the transpose once compacted,
+        # so the writer never holds the block, its transpose, the mask and
+        # the compacted bytes at once: a traced peak of about 3.4 blocks
+        # (1.12 MB), against 4.4 blocks (1.45 MB) with all four held.
+        block = 10 * _CSV_CHUNK_ROWS
+        assert writer_peak(4, tmp_path) < 3.75 * block, writer_peak(4, tmp_path) / block
+
+
+def writer_peak(chunks, tmp_path):
+    """The traced peak of :func:`write_series_csv` on ``chunks`` chunks of Poisson(7) counts."""
+    s = CountSeries(np.random.default_rng(3).poisson(7.0, chunks * _CSV_CHUNK_ROWS), (0, 0), 0, "x")
+    tracemalloc.start()
+    try:
+        write_series_csv(s, tmp_path / "s.csv")
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 INT64_MAX = int(np.iinfo(np.int64).max)
@@ -216,7 +230,7 @@ def test_rate_bound_is_numpys():
 
 class TestBlockBound:
     def test_first_order_chains_are_bounded_as_chains(self):
-        # lambda = 2e5, alpha = 0.9: 2e6 chains in the first block, 2e7 appearances.
+        # lambda = 2e5, alpha = 0.9: 1.8e6 chains in the start block, 1.8e7 appearances.
         _require_block_size(2e5, 0.9, 0.9, True)
         with pytest.raises(ParameterError, match="chain appearances"):
             _require_block_size(2e5, 0.9, 0.9, False)
@@ -227,16 +241,36 @@ class TestBlockBound:
 
     @pytest.mark.parametrize("as_intervals", [True, False])
     def test_bound_on_either_side(self, as_intervals):
-        # No length class is dense at rates this low, so the unit-gap path
-        # lays out every chain.
+        # No length class is dense at rates this low, so a step lays out its
+        # few chains or appearances and the start block meets the bound: with
+        # rho as the reach, m = lam * rho / (1 - rho) chains are under way.
+        # The gap path lays out their m / (1 - rho) appearances; the unit-gap
+        # path one count per class expecting at least 10 chains, class k
+        # expecting m * (1 - rho) * rho**(k - 1), and one entry per chain past them.
         rho = 1.0 - 1e-6
-        assert _dense_classes(_MAX_BLOCK_APPEARANCES * (1.0 - rho), rho) == 0
-        per_chain = 1.0 if as_intervals else 1.0 / (1.0 - rho)
-        # rho as the reach: chains = lam / (1 - rho).
-        at_bound = _MAX_BLOCK_APPEARANCES * (1.0 - rho) / per_chain
+
+        def start_entries(lam):
+            m = lam * rho / (1.0 - rho)
+            if not as_intervals:
+                return m / (1.0 - rho)
+            top = max(0, math.floor(math.log(m * (1.0 - rho) / 10.0) / -math.log(rho)) + 1)
+            return top + m * rho**top
+
+        at_bound = brentq(lambda lam: start_entries(lam) - _MAX_BLOCK_APPEARANCES, 1e-9, 1e5)
+        assert _dense_classes(at_bound, rho) == 0
         _require_block_size(at_bound * 0.999, rho, rho, as_intervals)
         with pytest.raises(ParameterError, match=str(_MAX_BLOCK_APPEARANCES)):
             _require_block_size(at_bound * 1.001, rho, rho, as_intervals)
+
+    @pytest.mark.parametrize("as_intervals, rho, at_bound", [
+        (True, 1.0 - 1e-8, _MAX_BLOCK_APPEARANCES),  # lam chains a step; no class is dense
+        (False, 0.5, _MAX_BLOCK_APPEARANCES / 2.0),  # lam / (1 - rho) appearances a step
+    ], ids=["unit_gap", "gap"])
+    def test_a_one_step_block_meets_the_bound(self, as_intervals, rho, at_bound):
+        # With no reach there is no start block, and a step's entries are what the bound reads.
+        _require_block_size(at_bound * 0.999, rho, 0.0, as_intervals)
+        with pytest.raises(ParameterError, match=str(_MAX_BLOCK_APPEARANCES)):
+            _require_block_size(at_bound * 1.001, rho, 0.0, as_intervals)
 
     def test_unit_gap_path_counts_only_the_chains_it_lays_out(self):
         # lambda = 1e7, rho = 0.40996: 1.69e7 chains under way at step 0 and
@@ -256,11 +290,10 @@ class TestBlockBound:
         assert _MAX_EXACT_MEAN == 2**53
 
     def test_short_series_near_the_bound_stays_small(self):
-        # lambda = 1e6, alpha = 0.9995: about 2e9 chains under way at step 0,
-        # 1.2e7 of them past the dense classes, which the bound counts as laid
-        # out. The start draws them as one count per class up to class 23025
-        # and lays out only the ~2e4 chains past it, so a 20-step series peaks
-        # far below the bound's 0.7 GB. A child started by this (large) process
+        # lambda = 1e6, alpha = 0.9995: about 2e9 chains under way at step 0.
+        # The start draws them as one count per class up to class 23025 and
+        # lays out only the ~2e4 chains past it, so a 20-step series peaks far
+        # below the bound's 0.7 GB. A child started by this (large) process
         # inherits its peak RSS at exec, so the child forks a fresh process to
         # run the series and reads that one's peak; ru_maxrss is in bytes on
         # macOS and KiB elsewhere.
@@ -298,6 +331,22 @@ class TestBlockBound:
         monkeypatch.setattr(processes, "_class_counts", no_simulation)
         with pytest.raises(ParameterError, match=f"more than the bound {_MAX_STEPS}"):
             simulate(t_len, burn_in)
+
+    @pytest.mark.parametrize("simulate", [
+        # 2e7 chains under way with too few per class to count any; 2 a step.
+        lambda: simulate_inar1(Inar1Spec(2.0, 1.0 - 1e-7), 10, RngStream(1)),
+        # 2e7 appearances of the chains under way; 1e3 a step.
+        lambda: simulate_inar_inf(GeomInarSpec(0.1, 0.49995, 0.5), 10, RngStream(1)),
+    ], ids=["unit_gap", "gap"])
+    def test_start_block_is_bounded_before_any_draw(self, monkeypatch, simulate):
+        def no_simulation(*args):
+            raise AssertionError("simulated before bounding the start block")
+
+        monkeypatch.setattr(processes, "_chain_blocks", no_simulation)
+        monkeypatch.setattr(processes, "_class_lengths", no_simulation)
+        monkeypatch.setattr(processes, "_class_counts", no_simulation)
+        with pytest.raises(ParameterError, match=f"about 2e\\+07 .* {_MAX_BLOCK_APPEARANCES}"):
+            simulate()
 
     def test_individual_level_keeps_the_appearance_bound(self, monkeypatch):
         def no_simulation(*args):
@@ -588,8 +637,8 @@ class TestChainKernel:
     ], ids=["many_steps_per_block", "one_step_per_block",
             "many_steps_per_block_class_counts", "one_step_per_block_class_counts"])
     def test_each_block_draws_its_arrivals_inside_it(self, lam, steps, dense):
-        # The chains under way at step 0 join the first block; they next
-        # appear at steps 0..8, so some lie past a one-step block.
+        # The chains under way at step 0 come first, as a block of their own
+        # at step 0; they next appear at steps 0..8.
         under_way = []
 
         def residual_draw(k):
@@ -598,25 +647,52 @@ class TestChainKernel:
 
         blocks = list(_chain_blocks(lam, 0.5, steps, RngStream(9), 0.5, residual_draw, dense))
         [start] = under_way
+        t0, arrivals, lengths, counts = blocks.pop(0)
+        assert t0 == 0 and start.size > 0 and np.array_equal(arrivals, start)
+        assert lengths.shape == start.shape and (lengths >= 1).all()
         if dense:
-            # the start's counted classes, the dense ones at least, come first
-            # as a block of width 1 at step 0; only the chains past them are laid out
-            t0, arrivals, lengths, counts = blocks.pop(0)
-            assert t0 == 0 and arrivals.size == lengths.size == 0
+            # the start's counted classes, the dense ones at least, are one
+            # column of counts; only the chains past them are laid out
             assert counts.shape[1] == 1 and len(counts) >= _dense_classes(lam, 0.5) > 0
-            assert (counts >= 0).all()
-            assert (blocks[0][2][: start.size] > len(counts)).all()
+            assert (counts >= 0).all() and (lengths > len(counts)).all()
+        else:
+            assert counts.shape == (0, 1)
         starts = [t0 for t0, _, _, _ in blocks]
         width = starts[1] if len(starts) > 1 else steps  # a dense spec's blocks are wide
         assert starts == list(range(0, steps, width)) and starts[-1] < steps
         for (t0, arrivals, lengths, hist), end in zip(blocks, starts[1:] + [steps]):
-            own = arrivals[start.size :] if t0 == 0 else arrivals
-            assert (t0 <= own).all() and (own < end).all()
+            assert (t0 <= arrivals).all() and (arrivals < end).all()
             assert arrivals.shape == lengths.shape and (lengths >= 1).all()
             # per-step counts of the dense classes, one column per step of the block
             assert hist.shape == (_dense_classes(lam, 0.5) if dense else 0, end - t0)
             assert (hist >= 0).all()
-        assert start.size > 0 and np.array_equal(blocks[0][1][: start.size], start)
+
+    @pytest.mark.parametrize("lam, rho, reach, dense, steps", [
+        (2e3, 0.9, 0.9, True, 1_500),  # 40 dense classes, a start counted to class 50
+        (100.0, 1.0 - 1e-5, 1.0 - 1e-5, True, 1_000),  # 2.3e5 counted start classes, 1e6 chains
+        (200.0, 0.75, 1.875, False, 100),  # GeomInarSpec(200, 0.3, 0.6)'s gap layout
+    ], ids=["dense_unit_gap", "sparse_unit_gap", "gap"])
+    def test_blocks_lay_out_what_the_layout_expects(self, lam, rho, reach, dense, steps):
+        # Entries are class counts and chains on the unit-gap path, where the
+        # chains are the random part, Poisson; appearances on the gap path,
+        # a compound Poisson sum of Geom(1 - rho) lengths, whose variance is
+        # its mean times (1 + rho) / (1 - rho).
+        def entries(block):
+            _, arrivals, lengths, hist = block
+            return hist.size + arrivals.size if dense else int(lengths.sum())
+
+        def assert_near(got, want, counts):
+            var = want - counts if dense else want * (1.0 + rho) / (1.0 - rho)
+            assert abs(got - want) <= 5.0 * math.sqrt(var), (got, want)
+
+        skip, top, per_step, start = _layout(lam, rho, reach, dense)
+        blocks = _chain_blocks(lam, rho, steps, RngStream(17), reach, dense=dense)
+        first = next(blocks)
+        assert first[0] == 0 and len(first[3]) == (top if dense else 0)
+        assert_near(entries(first), start, top)
+        regular, width = next(blocks), next(blocks)[0]
+        assert regular[0] == 0 and 1 <= width < steps
+        assert_near(entries(regular), width * per_step, width * skip)
 
     def test_no_reach_draws_no_start(self):
         # The individual-level simulator starts empty: without a reach the
