@@ -132,5 +132,10 @@ def geometric_draws(success_prob: float, size: int, rng: RngStream) -> np.ndarra
         raise ParameterError(f"size must be nonnegative, got {size}")
     if success_prob == 1.0:
         return np.ones(size, dtype=np.int64)
-    u = 1.0 - rng.generator.random(size)
-    return np.floor(np.log(u) / math.log(1.0 - success_prob)).astype(np.int64) + 1
+    u = rng.generator.random(size)
+    np.subtract(1.0, u, out=u)
+    np.log(u, out=u)
+    u /= math.log(1.0 - success_prob)
+    draws = np.floor(u, out=u).astype(np.int64)
+    draws += 1
+    return draws

@@ -1362,6 +1362,24 @@ class TestIndexMappedObservations:
         # About 24 against 30 MB: the step and owner arrays of 6.7e5 appearances are gone.
         assert mapped < 0.9 * laid_out, (mapped, laid_out)
 
+    def test_traced_peak_within_budget_of_the_trace(self):
+        def simulate():
+            return simulate_individual_level(Inar1Spec(LAM, ALPHA), ReportingSpec(q=Q), 10_000,
+                                             RngStream(5))
+
+        simulate()  # numpy's first-call allocations are not the trace's
+        tracemalloc.start()
+        try:
+            trace = simulate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        retained = sum(getattr(trace, name).nbytes for name in TRACE_FIELDS)
+        # About 1.2 times: the trace adopts the simulator's read-only columns
+        # and frees each temporary once its series is derived. A trace that
+        # copied the columns the simulator still held would take about 2.4.
+        assert peak <= 1.6 * retained, peak / retained
+
 
 class TestTracePathwiseIdentities:
     def test_decompositions_sum_to_totals(self, trace):
@@ -1485,8 +1503,12 @@ class TestPopulationTraceLifetimes:
         ([0, 1], [2, 1], [0], [0], "after its birth"),
         ([0, 1], [2, 6], [0, 1, 4], [0, 1, 1], "lie before 4"),
         ([0, 1], [2, 6], [0, 3, 2], [0, 1, 1], "in time order"),
+        ([0, 2], [2, 6], [0, 1, 3], [0, 1, 1], "within the individual's lifetime"),
+        ([0, 1], [2, 6], [0, 2, 3], [0, 0, 1], "within the individual's lifetime"),
+        ([0, 1], [2, 1], [], [], "after its birth"),
     ], ids=["birth_before_start", "birth_at_length", "death_at_birth", "observed_at_length",
-            "observations_out_of_order"])
+            "observations_out_of_order", "first_observed_before_birth", "last_observed_at_death",
+            "no_observations"])
     def test_columns_outside_the_trace_rejected(self, births, deaths, obs_times, obs_owner,
                                                 match):
         with pytest.raises(ParameterError, match=match):
@@ -1506,6 +1528,32 @@ class TestPopulationTraceLifetimes:
             assert column.flags.writeable, name
             assert not getattr(trace, name).flags.writeable, name
             assert getattr(trace, name).tolist() == column.tolist(), name
+
+    def test_read_only_int64_columns_adopted_others_copied(self):
+        births = np.array([0, 1, 2], dtype=np.int64)
+        births.setflags(write=False)
+        deaths = np.array([2, 6, 3], dtype=np.int64)
+        times = np.array([0, 1, 1, 3], dtype=np.int64)
+        times.setflags(write=False)
+        owner = np.array([0, 0, 1, 1], dtype=np.int32)
+        owner.setflags(write=False)
+        # A read-only view owns no data: its base may still be written.
+        trace = self.make(births, deaths, times[:], owner)
+        assert trace.births is births
+        assert not np.shares_memory(trace.deaths, deaths)  # writeable
+        assert not np.shares_memory(trace.obs_times, times)  # a view
+        assert trace.obs_owner.dtype == np.int64  # int32
+        deaths[0] = 3
+        assert trace.deaths.tolist() == [2, 6, 3]
+        for name in ("births", "deaths", "obs_times", "obs_owner"):
+            assert not getattr(trace, name).flags.writeable, name
+
+    def test_no_observations_accepted(self):
+        trace = self.make([0, 1], [2, 6], [], [])
+        assert trace.x.tolist() == [1, 2, 1, 1]
+        assert not trace.x_tilde.any() and not trace.u_total.any() and not trace.v_total.any()
+        assert trace.u_counts.shape == trace.v_counts.shape == (0, 3)
+        assert trace.gaps.size == 0
 
     def test_length_below_one_step_rejected(self):
         with pytest.raises(ParameterError, match="every birth must lie in"):
