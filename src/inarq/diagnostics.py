@@ -256,16 +256,19 @@ def _observed_series(model: UnderreportedModel, t_len: int, stream: RngStream) -
 def _batch_rows(values: np.ndarray, labels: np.ndarray, width: int) -> np.ndarray:
     """Per-batch mean, variance, acf_1..MAX_LAG (0 for a batch with zero variance)
     and frequencies of binned consecutive pairs, column 2 + MAX_LAG + a * width + b
-    for cell (a, b); a value past the oracle's support takes the last value's bin."""
+    for cell (a, b); a value past the oracle's support takes the last value's bin.
+    Each working array is built in place and freed once read, so besides
+    ``values`` at most two series-sized arrays are held at once."""
     ints = _batches(values)
-    batches = ints.astype(np.float64)
-    m = batches.shape[1]
-    means = batches.mean(axis=1, keepdims=True)
-    centred = batches - means
+    centred = ints.astype(np.float64)
+    m = centred.shape[1]
+    means = centred.mean(axis=1, keepdims=True)
+    centred -= means
     # lagged[:, k] = sum_j c_j c_{j+k} within each batch; column 0 is the sum of squares.
     lagged = np.column_stack(
         [(centred[:, : m - k] * centred[:, k:]).sum(axis=1) for k in range(MAX_LAG + 1)]
     )
+    del centred
     cells = width * width
     rows = np.zeros((BATCH_COUNT, 2 + MAX_LAG + cells))
     rows[:, 0] = means[:, 0]
@@ -274,7 +277,10 @@ def _batch_rows(values: np.ndarray, labels: np.ndarray, width: int) -> np.ndarra
               where=lagged[:, :1] > 0)
     if width:
         bins = np.take(labels, ints, mode="clip")
-        codes = bins[:, :-1] * width + bins[:, 1:] + (np.arange(BATCH_COUNT) * cells)[:, None]
+        codes = bins[:, :-1] * width
+        codes += bins[:, 1:]
+        del bins
+        codes += (np.arange(BATCH_COUNT) * cells)[:, None]
         counts = np.bincount(codes.ravel(), minlength=BATCH_COUNT * cells)
         rows[:, 2 + MAX_LAG :] = counts.reshape(BATCH_COUNT, cells) / (m - 1)
     return rows
@@ -302,10 +308,12 @@ def _pair_bins(oracle: np.ndarray, pairs: int) -> tuple[np.ndarray, np.ndarray]:
     return values[:0], np.zeros((0, 0))
 
 
-def _pooled_pmf(samples: list[np.ndarray]) -> np.ndarray:
-    """Pooled pmf of the values, indexed by value."""
-    pooled = np.concatenate(samples)
-    return np.bincount(pooled) / pooled.size
+def _tally_values(counts: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``counts``, the count of each value so far indexed by value, plus the counts
+    of ``values``; the result is as long as the larger of the two needs."""
+    total = np.bincount(values, minlength=counts.size)
+    total[: counts.size] += counts
+    return total
 
 
 def equivalence_mc_test(
@@ -319,13 +327,15 @@ def equivalence_mc_test(
 
     Canonical forms are compared exactly; the observed processes are then
     simulated, ``reps`` replicates each, on one substream of ``master_seed``
-    per replicate that draws the latent series and then its thinning. The
-    gates are batch-means scores over each model's reps * 50 batches:
-    two-sample scores of the mean, variance and autocorrelations, and per
-    model one-sample scores of its binned consecutive-pair frequencies
-    against the pair-law oracle of the first model's class
-    (:func:`_pair_bins`). The verdict passes only if the canonical forms
-    agree and each of the k scores has p >= LEVEL / k.
+    per replicate that draws the latent series and then its thinning. Each
+    replicate is summarized as it is drawn, into its batch rows and a running
+    count of its values, and dropped before the next is drawn, so one series
+    is held at a time whatever ``reps``. The gates are batch-means scores
+    over each model's reps * 50 batches: two-sample scores of the mean,
+    variance and autocorrelations, and per model one-sample scores of its
+    binned consecutive-pair frequencies against the pair-law oracle of the
+    first model's class (:func:`_pair_bins`). The verdict passes only if the
+    canonical forms agree and each of the k scores has p >= LEVEL / k.
 
     The report is a pure function of the inputs and the master seed.
     """
@@ -345,18 +355,19 @@ def equivalence_mc_test(
     labels, target = _pair_bins(oracle, t_len // BATCH_COUNT - 1)
     width = target.shape[0]
 
-    samples = [
-        [
-            _observed_series(model, t_len, master_seed.substream((idx << 32) + r)).values
-            for r in range(reps)
-        ]
-        for idx, model in enumerate((m1, m2))
-    ]
     df = reps * BATCH_COUNT - 1
     summaries = []  # per model: column means of its batch rows and their standard errors
-    for sample in samples:
-        rows = np.vstack([_batch_rows(v, labels, width) for v in sample])
+    tallies = []  # per model: the count of each observed value over its replicates
+    for idx, model in enumerate((m1, m2)):
+        rows = np.empty((reps * BATCH_COUNT, 2 + MAX_LAG + width * width))
+        tally = np.zeros(0, np.int64)
+        for r in range(reps):
+            values = _observed_series(model, t_len, master_seed.substream((idx << 32) + r)).values
+            rows[r * BATCH_COUNT : (r + 1) * BATCH_COUNT] = _batch_rows(values, labels, width)
+            tally = _tally_values(tally, values)
+            del values
         summaries.append((rows.mean(axis=0), rows.std(axis=0, ddof=1) / math.sqrt(rows.shape[0])))
+        tallies.append(tally)
     (est1, se1), (est2, se2) = summaries
     names = ["mean", "variance"] + [f"acf_{k}" for k in range(1, MAX_LAG + 1)]
     p_floor = LEVEL / (len(names) + 2 * width * width)
@@ -385,7 +396,7 @@ def equivalence_mc_test(
         stats=stats,
         cells=tuple(cells),
         bin_starts=np.flatnonzero(np.diff(labels, prepend=-1)).tolist(),
-        tv_marginal=total_variation(*map(_pooled_pmf, samples)),
+        tv_marginal=total_variation(*(tally / (reps * t_len) for tally in tallies)),
         p_floor=p_floor,
         seeds={"seed": master_seed.seed, "stream_id": master_seed.stream_id},
         n={"t_len": t_len, "reps": reps, "total": t_len * reps},

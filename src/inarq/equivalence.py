@@ -86,15 +86,6 @@ def absorb_reporting(inar1: Inar1Spec, q: float) -> GeomInarSpec:
     return shift_reporting(UnderreportedModel.from_inar1(inar1, q), 1.0).latent
 
 
-def split_reporting(spec: GeomInarSpec) -> CanonicalForm:
-    """Rewrite a fully observed geometric-lag process as a thinned first-order one.
-
-    Inverse of :func:`absorb_reporting`: the :func:`canonicalize` of ``spec``
-    observed with q = 1.
-    """
-    return canonicalize(UnderreportedModel(spec, 1.0))
-
-
 def _q_star(model: UnderreportedModel) -> float:
     """q * beta / (beta + gamma): the class's lowest reporting probability."""
     beta, gamma = model.latent.beta, model.latent.gamma

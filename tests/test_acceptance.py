@@ -34,7 +34,7 @@ from inarq import (
     simulate_individual_level,
 )
 from inarq.diagnostics import total_variation
-from inarq.equivalence import admissible_reporting_interval, split_reporting
+from inarq.equivalence import admissible_reporting_interval
 
 LAM, ALPHA, Q = 1.62, 0.52, 0.33
 EXAMPLE = UnderreportedModel.from_inar1(Inar1Spec(LAM, ALPHA), Q)
@@ -151,7 +151,7 @@ def test_criterion_3_algebraic_property_suite():
 
         # round trip: fold reporting into the lags, then split it back out
         image = absorb_reporting(Inar1Spec(lam, alpha), q)
-        c = split_reporting(image)
+        c = canonicalize(UnderreportedModel(image, 1.0))
         ok &= close(c.lambda_star, lam, scale=lam)
         ok &= close(c.alpha_star, alpha) and close(c.q_star, q)
 
@@ -159,7 +159,7 @@ def test_criterion_3_algebraic_property_suite():
         beta = g.uniform(0.01, 0.9)
         gamma = g.uniform(0.0, 0.97 - beta)
         spec = GeomInarSpec(lam, beta, gamma)
-        cc = split_reporting(spec)
+        cc = canonicalize(UnderreportedModel(spec, 1.0))
         back = absorb_reporting(Inar1Spec(cc.lambda_star, cc.alpha_star), cc.q_star)
         ok &= close(back.lambda_, lam, scale=lam)
         ok &= close(back.beta, beta) and close(back.gamma, gamma)

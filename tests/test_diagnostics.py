@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -37,7 +38,7 @@ from inarq.diagnostics import (
     _pair_bins,
     _pearson,
     _poisson_quantile,
-    _pooled_pmf,
+    _tally_values,
     _z_score,
     total_variation,
 )
@@ -314,6 +315,46 @@ class TestBatchStats:
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
 
 
+def fresh_array_batch_rows(values, labels, width):
+    # The batch rows with each step on a fresh array, as _batch_rows first built them.
+    ints = values[: values.size - values.size % BATCH_COUNT].reshape(BATCH_COUNT, -1)
+    batches = ints.astype(np.float64)
+    m = batches.shape[1]
+    means = batches.mean(axis=1, keepdims=True)
+    centred = batches - means
+    lagged = np.column_stack(
+        [(centred[:, : m - k] * centred[:, k:]).sum(axis=1) for k in range(MAX_LAG + 1)]
+    )
+    cells = width * width
+    rows = np.zeros((BATCH_COUNT, 2 + MAX_LAG + cells))
+    rows[:, 0] = means[:, 0]
+    rows[:, 1] = lagged[:, 0] / (m - 1)
+    np.divide(lagged[:, 1:], lagged[:, :1], out=rows[:, 2 : 2 + MAX_LAG],
+              where=lagged[:, :1] > 0)
+    if width:
+        bins = np.take(labels, ints, mode="clip")
+        codes = bins[:, :-1] * width + bins[:, 1:] + (np.arange(BATCH_COUNT) * cells)[:, None]
+        counts = np.bincount(codes.ravel(), minlength=BATCH_COUNT * cells)
+        rows[:, 2 + MAX_LAG :] = counts.reshape(BATCH_COUNT, cells) / (m - 1)
+    return rows
+
+
+class TestBatchRowsInPlace:
+    @pytest.mark.parametrize("seed", [43, 44, 45])
+    def test_matches_fresh_array_expressions_bit_for_bit(self, seed):
+        g = np.random.default_rng(seed)
+        labels, cells = _pair_bins(joint_pmf_oracle(EXAMPLE), 199)
+        width = cells.shape[0]
+        values = g.poisson(OBSERVED_MEAN * g.uniform(0.5, 2.0), 10_000 + int(g.integers(50)))
+        values[:200] = 2  # the first batch has zero variance
+        values[g.integers(values.size)] = labels.size + 3  # past the oracle's support
+        for lab, w in ((labels, width), (labels[:0], 0)):
+            got, want = _batch_rows(values, lab, w), fresh_array_batch_rows(values, lab, w)
+            assert got.shape == want.shape == (BATCH_COUNT, 2 + MAX_LAG + w * w)
+            assert (got[0, 2 : 2 + MAX_LAG] == 0).all()
+            np.testing.assert_array_equal(got, want)
+
+
 def dict_total_variation(p, q):
     # Reference: pmfs as {value: probability} dicts, absent keys are 0.
     keys = set(p) | set(q)
@@ -343,16 +384,20 @@ class TestArrayStatistics:
             assert total_variation(p, q) == pytest.approx(want, rel=0, abs=1e-15)
             assert total_variation(q, p) == total_variation(p, q)
 
-    def test_pooled_pmfs_match_dict_counts(self):
+    def test_running_tally_matches_pooled_counts(self):
         g = np.random.default_rng(31)
-        samples = [g.poisson(3.0, 5_000), g.poisson(3.0, 4_321)]
-        samples[1][17] = 40  # a value far past the others
-        pooled = np.concatenate(samples)
-        marginal = _pooled_pmf(samples)
-        assert marginal.size == 41
-        assert as_dict(marginal) == {
-            (k,): c / pooled.size for k, c in enumerate(np.bincount(pooled)) if c > 0
-        }
+        replicates = [g.poisson(3.0, 5_000), g.poisson(3.0, 4_321), np.zeros(1_000, np.int64)]
+        replicates[1][17] = 40  # past every earlier value: the tally grows
+        tally = np.zeros(0, np.int64)
+        for values in replicates:
+            tally = _tally_values(tally, values)
+        pooled = np.concatenate(replicates)
+        np.testing.assert_array_equal(tally, np.bincount(pooled))
+        assert tally.size == 41 and tally.dtype == np.int64
+        np.testing.assert_array_equal(tally / pooled.size, np.bincount(pooled) / pooled.size)
+        # A replicate of zeros first, then one reaching past it.
+        tally = _tally_values(_tally_values(np.zeros(0, np.int64), replicates[2]), replicates[0])
+        np.testing.assert_array_equal(tally, np.bincount(np.concatenate(replicates[::-2])))
 
     def test_pair_cells_match_loop_counts(self):
         oracle = joint_pmf_oracle(EXAMPLE)
@@ -437,6 +482,36 @@ class TestEquivalenceMcTest:
             ("apply_reporting", ReportingSpec(q=Q)),
             ("simulate_inar_inf", IMAGE_MODEL.latent),
         ]
+
+    def test_traced_peak_holds_one_replicate(self):
+        def check():
+            return equivalence_mc_test(EXAMPLE, IMAGE_MODEL, 200_000, 3, RngStream(1))
+
+        check()  # numpy's first-call allocations are not the test's
+        tracemalloc.start()
+        try:
+            check()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # About 3 series: each replicate is summarized as it is drawn and
+        # dropped. Holding every replicate until the last is drawn took 11.
+        series_bytes = 200_000 * np.dtype(np.int64).itemsize
+        assert peak <= 4 * series_bytes, peak / series_bytes
+
+    def test_tv_marginal_pools_every_replicate(self, monkeypatch):
+        drawn = {}
+
+        def recorded(model, t_len, stream, _real=diagnostics._observed_series):
+            series = _real(model, t_len, stream)
+            drawn.setdefault(model, []).append(series.values.copy())
+            return series
+
+        monkeypatch.setattr(diagnostics, "_observed_series", recorded)
+        report = equivalence_mc_test(EXAMPLE, IMAGE_MODEL, 10_000, 3, RngStream(7))
+        pooled = [np.concatenate(drawn[m]) for m in (EXAMPLE, IMAGE_MODEL)]
+        assert [p.size for p in pooled] == [30_000, 30_000]
+        assert report.tv_marginal == total_variation(*(np.bincount(p) / p.size for p in pooled))
 
     def test_zero_standard_error_scores(self):
         assert _z_score(0.25, 0.25, 0.0) == 0.0

@@ -23,7 +23,7 @@ from inarq import (
     simulate_inar1,
     write_curve_csv,
 )
-from inarq.equivalence import admissible_reporting_interval, split_reporting
+from inarq.equivalence import admissible_reporting_interval
 from inarq.processes import LAYOUT_MAX_MEAN, _require_geom_block_size, simulation_route
 
 LAM, ALPHA, Q = 1.62, 0.52, 0.33
@@ -96,31 +96,33 @@ class TestAbsorbReporting:
 
 
 class TestSplitReporting:
+    # canonicalize at q = 1 splits the reporting back out of a fully observed
+    # geometric-lag spec: the inverse of absorb_reporting.
     def test_worked_example_rounds_to_published_estimates(self):
-        c = split_reporting(GeomInarSpec(0.8204, 0.1716, 0.3484))
+        c = canonicalize(UnderreportedModel(GeomInarSpec(0.8204, 0.1716, 0.3484), 1.0))
         assert round(c.lambda_star, 2) == 1.62
         assert round(c.alpha_star, 2) == 0.52
         assert round(c.q_star, 2) == 0.33
 
     def test_first_order_input_is_fixed_point(self):
-        c = split_reporting(GeomInarSpec(1.7, 0.4, 0.0))
+        c = canonicalize(UnderreportedModel(GeomInarSpec(1.7, 0.4, 0.0), 1.0))
         assert (c.lambda_star, c.alpha_star, c.q_star) == (1.7, 0.4, 1.0)
 
     def test_iid_class_with_decay_is_iid_poisson(self):
         # beta = 0 puts no weight on any lag, whatever gamma.
-        c = split_reporting(GeomInarSpec(1.0, 0.0, 0.5))
+        c = canonicalize(UnderreportedModel(GeomInarSpec(1.0, 0.0, 0.5), 1.0))
         assert (c.lambda_star, c.alpha_star, c.q_star) == (1.0, 0.0, 1.0)
 
     @given(lam=lambdas, alpha=st.floats(0.01, 0.95), q=probs)
     def test_round_trip_recovers_input(self, lam, alpha, q):
-        c = split_reporting(absorb_reporting(Inar1Spec(lam, alpha), q))
+        c = canonicalize(UnderreportedModel(absorb_reporting(Inar1Spec(lam, alpha), q), 1.0))
         assert close(c.lambda_star, lam, scale=lam)
         assert close(c.alpha_star, alpha)
         assert close(c.q_star, q)
 
     @given(spec=geom_specs())
     def test_reverse_round_trip_recovers_lag_structure(self, spec):
-        c = split_reporting(spec)
+        c = canonicalize(UnderreportedModel(spec, 1.0))
         back = absorb_reporting(Inar1Spec(c.lambda_star, c.alpha_star), c.q_star)
         assert close(back.lambda_, spec.lambda_, scale=spec.lambda_)
         assert close(back.beta, spec.beta)
